@@ -14,13 +14,15 @@ hypersurface of the configured degree and fiber dimension).
 The job is a JSON object (``--config FILE``, or ``-`` for stdin) with keys
 ``base``, ``bundle``, ``hypersurface``, ``command``, ``format``, ``class``,
 ``trunc`` and ``integrate``; command-line flags override config values.
-Exit codes: 0 success, 2 parse or validation failure, 3 mode error (an
-output mode the chosen base cannot provide).
+Exit codes: 0 success, 2 parse or validation failure (a division by the
+zero class included), 3 mode error (an output mode the chosen base cannot
+provide).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -189,9 +191,7 @@ def _bound_output(base, cls):
 
 
 def _render_class(cls, fmt):
-    if fmt == "latex":
-        return to_latex(cls)
-    return to_text(cls)
+    return to_latex(cls) if fmt == "latex" else to_text(cls)
 
 
 def _run(cfg):
@@ -210,16 +210,15 @@ def _run(cfg):
     if command == "push":
         _require(isinstance(cfg["class"], str) and cfg["class"].strip(),
                  "push needs a class expression (--class or config 'class')")
-        entries = _build_roots(cfg, base)
-        m0 = entries[0][0]
-        bundle, _ = normalize_twist(entries)
+        # the expression is written in the untwisted hyperplane class
+        bundle, untwisted_h = normalize_twist(_build_roots(cfg, base),
+                                              [base.ring.zero, base.ring.one])
         env = {s.name: ProjClass.from_base(bundle, base.ring.sym(s.name))
                for s in base.ring.symbols}
         if (isinstance(base, ProjectiveSpaceBase) and base.multiple is not None
                 and base.divisor not in env):
             env[base.divisor] = ProjClass.from_base(bundle, base.divisor_class())
-        # the expression is written in the untwisted hyperplane class
-        env["H"] = ProjClass.hyperplane(bundle) - ProjClass.from_base(bundle, m0)
+        env["H"] = untwisted_h
         tree = parse_class_expr(cfg["class"])
         value = evaluate(tree, env, lambda v: ProjClass.constant(bundle, v))
         pushed = _bound_output(base, pushforward_series(value))
@@ -278,6 +277,20 @@ def _run(cfg):
     raise ValidationError(f"unknown command {command!r}")
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift the interpreter's limit on converting long integers to decimal
+    text (Python 3.10.7 and later), so exact results print at any size."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _fail(fmt, exc, code):
     print(f"error: {exc}", file=sys.stderr)
     if fmt == "json":
@@ -293,10 +306,11 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         fmt = cfg["format"]
-        doc, text = _run(cfg)
+        with _all_digits():
+            doc, text = _run(cfg)
     except ModeError as exc:
         return _fail(fmt, exc, 3)
-    except (ChowError, ValueError, OSError) as exc:
+    except (ChowError, ValueError, OSError, ZeroDivisionError) as exc:
         return _fail(fmt, exc, 2)
     if fmt == "json":
         print(json.dumps(doc, indent=2))

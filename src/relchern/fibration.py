@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
-from .pushforward import (BundleSpec, ProjClass, _root_entries, normalize_twist,
+from .pushforward import (BundleSpec, ProjClass, normalize_twist,
                           pushforward_closed_form, pushforward_series)
 from .ring import ChowError, ChowPoly, ContextError
 
@@ -52,10 +52,9 @@ class HypersurfaceSpec:
     def from_roots(cls, degree, beta, roots):
         """Build from an untwisted root list; ``beta`` is adjusted by the
         twist that makes the first root vanish."""
-        entries, ring = _root_entries(roots)
-        m0 = entries[0][0]
-        bundle, _ = normalize_twist(roots)
-        return cls(degree, ring.convert(beta) - degree * m0, bundle)
+        # twisting rewrites beta + degree*H; its H^0 coefficient is the new beta
+        bundle, y = normalize_twist(roots, [beta, degree])
+        return cls(degree, y.coeff(0), bundle)
 
     def divisor_class(self):
         H = ProjClass.hyperplane(self.bundle)

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 
-from .ring import (ChowError, ChowPoly, ContextError, Fraction, expand_ratio)
+from .ring import (ChowError, ChowPoly, ContextError, Fraction, NonUnitError,
+                   _by_degree, _coerced, _geometric, _mul_into,
+                   _nonzero_rational, _power, expand_ratio)
 
 
 class BundleError(ChowError):
@@ -130,12 +132,8 @@ class ProjClass:
 
     def __init__(self, bundle, coeffs):
         dmax = bundle.ambient_dim
-        ring = bundle.ring
-        cleaned = []
-        for j, a in enumerate(coeffs):
-            if j > dmax:
-                break
-            cleaned.append(ring.convert(a).truncate(dmax - j))
+        cleaned = [bundle.ring.convert(a).truncate(dmax - j)
+                   for j, a in zip(range(dmax + 1), coeffs)]
         while cleaned and cleaned[-1].is_zero():
             cleaned.pop()
         self.bundle = bundle
@@ -165,15 +163,9 @@ class ProjClass:
         return self.coeff(0).constant_term()
 
     def is_homogeneous(self, degree=None):
-        degs = set()
-        for j, a in enumerate(self.coeffs):
-            for mono in a._terms:
-                degs.add(j + a.ring._total_degree(mono))
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
+        degs = {j + a.ring._total_degree(key)
+                for j, a in enumerate(self.coeffs) for key in a._terms}
+        return len(degs) <= 1 and (degree is None or degs <= {degree})
 
     # -- arithmetic ----------------------------------------------------
 
@@ -186,10 +178,8 @@ class ProjClass:
             return ProjClass(self.bundle, [other])
         return None
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return ProjClass(self.bundle,
                          [self.coeff(j) + other.coeff(j) for j in range(n)])
@@ -199,80 +189,47 @@ class ProjClass:
     def __neg__(self):
         return ProjClass(self.bundle, [-a for a in self.coeffs])
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
+    @_coerced
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other + (-self)
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        ring = self.bundle.ring
         dmax = self.bundle.ambient_dim
-        out = [self.bundle.ring.zero] * (dmax + 1)
+        out = [{} for _ in range(dmax + 1)]
+        right = [_by_degree(b._terms, ring.bound) for b in other.coeffs]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > dmax:
-                    break
-                out[i + j] = out[i + j] + a * b
-        return ProjClass(self.bundle, out)
+            for j, b in enumerate(right[:dmax + 1 - i]):
+                # the H^(i+j) coefficient keeps codimension <= dmax - i - j
+                _mul_into(out[i + j], a._terms, b, min(ring.bound, dmax - i - j))
+        return ProjClass(self.bundle, [ring._finish(terms) for terms in out])
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = ProjClass.constant(self.bundle, 1)
-        square = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
+        return _power(self, exponent, ProjClass.constant(self.bundle, 1))
 
     def inverse(self):
         """Truncated geometric inverse; requires constant term 1."""
-        from .ring import NonUnitError
         if self.constant_term() != 1:
             raise NonUnitError("series inversion requires constant term 1")
         one = ProjClass.constant(self.bundle, 1)
-        tail = one - self
-        inverse = one
-        power = one
-        for _ in range(self.bundle.ambient_dim):
-            power = power * tail
-            if power.is_zero():
-                break
-            inverse = inverse + power
-        return inverse
+        return _geometric(one, one - self, self.bundle.ambient_dim)
 
+    @_coerced
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / _nonzero_rational(other))
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if len(other.coeffs) <= 1 and other.coeff(0).is_constant():
-            return self * (1 / _nonzero_rational(other.constant_term()))
+            return self * Fraction(1, _nonzero_rational(other.constant_term()))
         return self * other.inverse()
 
+    @_coerced
     def __rtruediv__(self, other):
-        num = self._coerce(other)
-        if num is None:
-            return NotImplemented
-        return num.__truediv__(self)
+        return other.__truediv__(self)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, ChowPoly)):
@@ -283,11 +240,13 @@ class ProjClass:
 
     def shift_h(self, delta):
         """The same class written in ``H + delta`` powers: H -> H + delta."""
-        return _eval_h_poly(self.coeffs, self.bundle, delta)
+        x = ProjClass.hyperplane(self.bundle) + ProjClass.from_base(self.bundle, delta)
+        out = ProjClass.constant(self.bundle, 0)
+        for a in reversed(self.coeffs):
+            out = out * x + a
+        return out
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
         for j, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -298,25 +257,6 @@ class ProjClass:
 
     def __repr__(self):
         return f"ProjClass({self})"
-
-
-def _nonzero_rational(value):
-    from .ring import _rational
-    q = _rational(value)
-    if not q:
-        raise ZeroDivisionError("division of a class by zero")
-    return q
-
-
-def _eval_h_poly(coeffs, bundle, delta):
-    base = ProjClass.from_base(bundle, delta)
-    x = ProjClass.hyperplane(bundle) + base
-    out = ProjClass.constant(bundle, 0)
-    power = ProjClass.constant(bundle, 1)
-    for a in coeffs:
-        out = out + power * a
-        power = power * x
-    return out
 
 
 def normalize_twist(roots, cls=None):
@@ -332,8 +272,8 @@ def normalize_twist(roots, cls=None):
     bundle = BundleSpec([(form - m0, mult) for form, mult in entries])
     if cls is None:
         return bundle, None
-    coeffs = cls.coeffs if isinstance(cls, ProjClass) else tuple(cls)
-    return bundle, _eval_h_poly(coeffs, bundle, -m0)
+    coeffs = cls.coeffs if isinstance(cls, ProjClass) else cls
+    return bundle, ProjClass(bundle, coeffs).shift_h(-m0)
 
 
 # -- series route -------------------------------------------------------
@@ -399,10 +339,8 @@ def divided_difference(coeffs, points, ring=None):
     for name in points:
         x = ring.sym(name)
         acc = ring.zero
-        power = ring.one
-        for c in lifted:
-            acc = acc + c * power
-            power = power * x
+        for c in reversed(lifted):
+            acc = acc * x + c
         row.append(acc)
     for step in range(1, len(points)):
         row = [_exact_linear_quotient(row[i] - row[i + 1],
@@ -412,27 +350,24 @@ def divided_difference(coeffs, points, ring=None):
 
 
 def _exact_linear_quotient(value, a, b, ring):
-    # value / (a - b), both formal; exactness is an invariant of the
-    # divided-difference recursion and is verified by re-multiplying
-    xa, xb = ring.sym(a), ring.sym(b)
-    quotient = ring.zero
-    for e, part in _split_power(value, a, ring).items():
-        for i in range(e):  # (xa^e - xb^e)/(xa - xb)
-            quotient = quotient + part * xa ** i * xb ** (e - 1 - i)
-    if quotient * (xa - xb) != value:
+    # value / (xa - xb) for formal a, b, by synthetic division in xa with
+    # coefficients P_e free of xa: the quotient's xa^(e-1) coefficient is
+    # q_(e-1) = P_e + xb*q_e, and the remainder P_0 + xb*q_0 must vanish,
+    # which the divided-difference recursion guarantees
+    groups = value._by_power(a)
+    unit_a, unit_b = ring._unit[a], ring._unit[b]
+    quotient = {}
+    carry = {}
+    for e in range(max(groups, default=0), -1, -1):
+        carry = {key + unit_b: c for key, c in carry.items()}
+        for key, c in groups.get(e, {}).items():
+            carry[key] = carry.get(key, 0) + c
+        carry = ring._finish(carry)._terms
+        if e:
+            quotient.update((key + (e - 1) * unit_a, c) for key, c in carry.items())
+    if carry:
         raise ChowError("internal error: inexact division in divided difference")
-    return quotient
-
-
-def _split_power(value, name, ring):
-    groups = {}
-    for mono, c in value._terms.items():
-        exps = dict(mono)
-        e = exps.pop(name, 0)
-        rest = ring._mono(exps)
-        bucket = groups.setdefault(e, {})
-        bucket[rest] = bucket.get(rest, Fraction(0)) + c
-    return {e: ring._make(terms) for e, terms in groups.items()}
+    return ring._finish(quotient)
 
 
 def _formal_names(ring, count):
@@ -473,17 +408,15 @@ def pushforward_closed_form(cls, minimal_truncation=False):
         return ring.zero
     points = _formal_names(ring, m)
     aux = ring.with_formal(points)
-    gcoeffs = [aux.zero] * (len(cls.coeffs) - shift)
-    for p in range(low, len(cls.coeffs)):
-        gcoeffs[p - shift] = aux.convert(cls.coeff(p))
+    gcoeffs = [aux.convert(cls.coeff(p)) if p >= low else aux.zero
+               for p in range(shift, len(cls.coeffs))]
     g = divided_difference(gcoeffs, points, aux)
-    for name, (_, mult) in zip(points, roots):
+    for name, (form, mult) in zip(points, roots):
         k = mult - 1
         if k:
             g = g * aux.sym(name) ** k
             for _ in range(k):
                 g = g.derivative(name)
             g = g / math.factorial(k)
-    for name, (form, _) in zip(points, roots):
         g = g.substitute(name, aux.convert(-form))
     return ring.convert(g)

@@ -5,6 +5,29 @@ from __future__ import annotations
 import re
 
 
+def format_terms(items, coeff, power, sep):
+    """Join ``(monomial, coefficient)`` pairs into ``a + b - c`` form, with
+    ``coeff(q)`` for coefficients, ``power(name, exp)`` for factors and
+    ``sep`` between the factors of a term and before its monomial."""
+    if not items:
+        return "0"
+    parts = []
+    for mono, c in items:
+        mono_s = sep.join(power(n, e) for n, e in mono)
+        if not mono_s:
+            parts.append(coeff(c))
+        elif c == 1:
+            parts.append(mono_s)
+        elif c == -1:
+            parts.append("-" + mono_s)
+        else:
+            parts.append(f"{coeff(c)}{sep}{mono_s}")
+    text = parts[0]
+    for p in parts[1:]:
+        text += " - " + p[1:] if p.startswith("-") else " + " + p
+    return text
+
+
 def to_text(cls):
     """Canonical text; round-trips through the expression parser."""
     return str(cls)
@@ -13,11 +36,11 @@ def to_text(cls):
 _SUBSCRIPT_RE = re.compile(r"([A-Za-z]+)_?(\d+)\Z")
 
 
-def _latex_symbol(name):
+def _latex_power(name, exp):
     match = _SUBSCRIPT_RE.match(name)
     if match:
-        return f"{match.group(1)}_{{{match.group(2)}}}"
-    return name
+        name = f"{match.group(1)}_{{{match.group(2)}}}"
+    return name if exp == 1 else f"{name}^{{{exp}}}"
 
 
 def _latex_coeff(q):
@@ -28,26 +51,7 @@ def _latex_coeff(q):
 
 
 def to_latex(cls):
-    items = cls.terms()
-    if not items:
-        return "0"
-    parts = []
-    for mono, c in items:
-        mono_s = " ".join(
-            _latex_symbol(n) if e == 1 else f"{_latex_symbol(n)}^{{{e}}}"
-            for n, e in mono)
-        if not mono_s:
-            parts.append(_latex_coeff(c))
-        elif c == 1:
-            parts.append(mono_s)
-        elif c == -1:
-            parts.append("-" + mono_s)
-        else:
-            parts.append(f"{_latex_coeff(c)} {mono_s}")
-    text = parts[0]
-    for p in parts[1:]:
-        text += " - " + p[1:] if p.startswith("-") else " + " + p
-    return text
+    return format_terms(cls.terms(), _latex_coeff, _latex_power, " ")
 
 
 def rational_json(q):

@@ -7,19 +7,34 @@ total symbol degree exceeds the ring's truncation bound is dropped at
 construction time, which realizes working modulo classes of codimension
 greater than ``m``.
 
-Coefficients are arbitrary-precision rationals (:class:`fractions.Fraction`);
-floats are rejected so every identity holds exactly.  A ring may carry extra
-*formal* variables, degree-1 symbols exempt from truncation, which host
-intermediate divided-difference computations and never appear in results.
+Coefficients are exact rationals: an ``int`` when integral, otherwise a
+:class:`fractions.Fraction` (the two compare and hash equal); floats are
+rejected so every identity holds exactly.  A ring may carry extra *formal*
+variables, degree-1 symbols exempt from truncation, which host intermediate
+divided-difference computations and never appear in results.
+
+A monomial is stored as its exponent vector packed into one integer of
+32-bit fields: field 0 holds the degree that truncation counts, field
+``i + 1`` the exponent of the ring's ``i``-th variable in ``(degree, name)``
+order.  A product of monomials is then one integer addition,
+and a term's degree is read off without looking at its symbols.
 
 Values are immutable and operations are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .render import format_terms
+
+_BITS = 32
+_FIELD = (1 << _BITS) - 1
+_MAX_EXP = _FIELD >> 1  # a field's top bit stays clear, so sums never carry
 
 
 class ChowError(Exception):
@@ -47,10 +62,10 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 def _rational(value):
     # floats are banned: exactness is the whole point
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"exact rational expected, got {value!r}")
 
 
@@ -76,11 +91,12 @@ class ChowRing:
     formal variables agree.
     """
 
-    __slots__ = ("bound", "symbols", "formal", "_degrees", "_formal_set")
+    __slots__ = ("bound", "symbols", "formal", "_degrees", "_formal_set",
+                 "_shift", "_unit", "_guard", "_total_degree")
 
     def __init__(self, symbols, bound, formal=()):
-        if not isinstance(bound, int) or bound < 0:
-            raise GradeError("truncation bound must be a nonnegative integer")
+        if not isinstance(bound, int) or not 0 <= bound <= _MAX_EXP:
+            raise GradeError(f"truncation bound must be an integer in [0, {_MAX_EXP}]")
         syms = [s if isinstance(s, Symbol) else Symbol(*s) for s in symbols]
         syms.sort(key=lambda s: (s.degree, s.name))
         formal = tuple(sorted(formal))
@@ -96,6 +112,13 @@ class ChowRing:
         self.formal = formal
         self._degrees = degrees
         self._formal_set = frozenset(formal)
+        # fields follow the (degree, name) order of printed monomials
+        order = sorted(degrees, key=lambda n: (degrees[n], n))
+        self._shift = {name: _BITS * (i + 1) for i, name in enumerate(order)}
+        self._unit = {name: (0 if name in self._formal_set else degrees[name])
+                      + (1 << self._shift[name]) for name in order}
+        self._guard = sum(1 << (self._shift[name] + _BITS - 1) for name in formal)
+        self._total_degree = self._formal_degree if formal else _FIELD.__and__
 
     def __eq__(self, other):
         if not isinstance(other, ChowRing):
@@ -133,18 +156,16 @@ class ChowRing:
 
     def const(self, value):
         q = _rational(value)
-        return ChowPoly(self, {(): q} if q else {})
+        return ChowPoly(self, {0: q} if q else {})
 
     def sym(self, name):
         self.degree_of(name)
-        return self._make({((name, 1),): Fraction(1)})
+        return self._from_monomials({((name, 1),): 1})
 
     def linear(self, coeffs):
         """Linear combination of symbols from a ``{name: rational}`` map."""
-        out = self.zero
-        for name, c in coeffs.items():
-            out = out + self.sym(name) * _rational(c)
-        return out
+        return sum((self.sym(name) * _rational(c) for name, c in coeffs.items()),
+                   self.zero)
 
     # -- derived contexts ----------------------------------------------
 
@@ -167,37 +188,122 @@ class ChowRing:
             return self.const(value)
         if not isinstance(value, ChowPoly):
             raise TypeError(f"cannot convert {value!r} to a class")
-        if value.ring is self or value.ring == self:
-            return value if value.ring is self else self._make(dict(value._terms))
+        src = value.ring
+        if src is self or src == self:
+            return value if src is self else ChowPoly(self, value._terms)
         for name in value.symbols_used():
             if name not in self._degrees:
                 raise SymbolError(f"symbol {name!r} does not exist in the target ring")
-            if self._degrees[name] != value.ring._degrees[name]:
+            if self._degrees[name] != src._degrees[name]:
                 raise ContextError(f"symbol {name!r} changes degree between rings")
-        return self._make(dict(value._terms))
+        return self._from_monomials({src._monomial(key): c
+                                     for key, c in value._terms.items()})
 
-    # -- internals -----------------------------------------------------
+    # -- monomials -----------------------------------------------------
 
-    def _mono(self, exponents):
-        items = [(n, e) for n, e in exponents.items() if e]
-        items.sort(key=lambda ne: (self._degrees[ne[0]], ne[0]))
-        return tuple(items)
-
-    def _base_degree(self, mono):
-        return sum(e * self._degrees[n] for n, e in mono if n not in self._formal_set)
-
-    def _total_degree(self, mono):
-        return sum(e * self._degrees[n] for n, e in mono)
-
-    def _make(self, terms):
+    def _from_monomials(self, terms):
+        # {((name, exp), ...): coeff} -> value; drops terms above the bound
         out = {}
-        for mono, coeff in terms.items():
-            if not coeff:
-                continue
-            if self._base_degree(mono) > self.bound:
-                continue
-            out[mono] = coeff
+        for mono, c in terms.items():
+            if sum(e * self._degrees[n] for n, e in mono
+                   if n not in self._formal_set) <= self.bound:
+                out[sum(e * self._unit[n] for n, e in mono)] = c
+        return self._finish(out)
+
+    def _monomial(self, key):
+        """``((name, exp), ...)`` of a packed key, in canonical order."""
+        mono = []
+        key >>= _BITS
+        for name in self._shift:
+            if not key:
+                break
+            if key & _FIELD:
+                mono.append((name, key & _FIELD))
+            key >>= _BITS
+        return tuple(mono)
+
+    def _formal_degree(self, key):
+        # total degree: formal variables have degree 1 but are not counted
+        # in field 0, which alone is the total degree in rings without them
+        return (key & _FIELD) + sum(key >> self._shift[name] & _FIELD
+                                    for name in self.formal)
+
+    def _finish(self, terms):
+        # drops zero terms and stores integral coefficients as int
+        out = {}
+        for key, c in terms.items():
+            if c:
+                out[key] = (c.numerator if c.__class__ is Fraction
+                            and c.denominator == 1 else c)
+        if self._guard and any(key & self._guard for key in out):
+            raise ChowError(f"formal exponent above {_MAX_EXP}")
         return ChowPoly(self, out)
+
+
+def _by_degree(terms, top):
+    """Terms sorted by degree, and for each degree ``d <= top`` how many of
+    them have degree at most ``d``."""
+    items = sorted(terms.items(), key=lambda kc: kc[0] & _FIELD)
+    degrees = [key & _FIELD for key, _ in items]
+    return items, [bisect_right(degrees, d) for d in range(top + 1)]
+
+
+def _mul_into(out, left, right, limit):
+    """Add the product of ``left`` (a term map) and ``right`` (from
+    :func:`_by_degree`) to ``out``, skipping pairs whose degree would pass
+    ``limit``.  The pairs skipped are exactly those truncation would drop."""
+    items, ends = right
+    get = out.get
+    for k1, c1 in left.items():
+        room = limit - (k1 & _FIELD)
+        if room < 0:
+            continue
+        for k2, c2 in items[:ends[room]]:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+
+
+def _coerced(method):
+    """A binary operator whose other operand goes through ``_coerce``; an
+    operand of a foreign type gives ``NotImplemented``."""
+    @functools.wraps(method)
+    def wrapper(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else method(self, other)
+    return wrapper
+
+
+def _nonzero_rational(value):
+    q = _rational(value)
+    if not q:
+        raise ZeroDivisionError("division of a class by zero")
+    return q
+
+
+def _power(base, exponent, one):
+    """``base ** exponent`` by square-and-multiply."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
+def _geometric(one, tail, steps):
+    """``one + tail + tail**2 + ...``, stopping at the first vanishing power
+    or after ``steps`` powers."""
+    total = power = one
+    for _ in range(steps):
+        power = power * tail
+        if power.is_zero():
+            break
+        total = total + power
+    return total
 
 
 class ChowPoly:
@@ -213,7 +319,7 @@ class ChowPoly:
     __slots__ = ("ring", "_terms")
 
     def __init__(self, ring, terms):
-        # internal: callers construct through ring._make / ring ops
+        # internal: ``terms`` maps packed monomial keys to nonzero coefficients
         self.ring = ring
         self._terms = terms
 
@@ -226,49 +332,47 @@ class ChowPoly:
         return bool(self._terms)
 
     def is_constant(self):
-        return all(m == () for m in self._terms)
+        return all(key == 0 for key in self._terms)
 
     def constant_term(self):
-        return self._terms.get((), Fraction(0))
+        return self._terms.get(0, 0)
 
     def symbols_used(self):
-        names = set()
-        for mono in self._terms:
-            for n, _ in mono:
-                names.add(n)
-        return names
+        seen = 0
+        for key in self._terms:
+            seen |= key
+        return {name for name, shift in self.ring._shift.items()
+                if seen >> shift & _FIELD}
 
     def uses_formal(self):
         return any(self.ring.is_formal(n) for n in self.symbols_used())
 
     def is_homogeneous(self, degree=None):
-        degs = {self.ring._total_degree(m) for m in self._terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
+        degs = set(map(self.ring._total_degree, self._terms))
+        return len(degs) <= 1 and (degree is None or degs <= {degree})
 
     def total_degree(self):
         """Largest total symbol degree present (0 for the zero class)."""
-        if not self._terms:
-            return 0
-        return max(self.ring._total_degree(m) for m in self._terms)
+        return max(map(self.ring._total_degree, self._terms), default=0)
 
     def coefficient(self, exponents):
         """Exact coefficient of the monomial given as ``{name: exp}``."""
-        return self._terms.get(self.ring._mono(dict(exponents)), Fraction(0))
+        mono = tuple((n, e) for n, e in dict(exponents).items() if e)
+        if not all(0 < e <= _MAX_EXP for _, e in mono):
+            return 0
+        key = self.ring._from_monomials({mono: 1})._terms
+        return self._terms.get(next(iter(key), -1), 0)  # -1: truncated away
 
     def terms(self):
         """Terms as ``(monomial, coefficient)`` pairs in canonical order."""
         ring = self.ring
-
-        def key(item):
-            mono, _ = item
-            expanded = tuple((ring._degrees[n], n) for n, e in mono for _ in range(e))
-            return (ring._total_degree(mono), expanded)
-
-        return sorted(self._terms.items(), key=key)
+        items = [(ring._monomial(key), c) for key, c in self._terms.items()]
+        # by total degree, then by the expanded symbol sequence, each symbol
+        # compared by (degree, name): at equal total degree, (field, -exp)
+        # pairs compare the same way
+        items.sort(key=lambda mc: (sum(e * ring._degrees[n] for n, e in mc[0]),
+                                   [(ring._shift[n], -e) for n, e in mc[0]]))
+        return items
 
     # -- arithmetic -------------------------------------------------------
 
@@ -281,87 +385,56 @@ class ChowPoly:
             raise ContextError("operands belong to different ring contexts")
         return None
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         terms = dict(self._terms)
-        for mono, c in other._terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return self.ring._make(terms)
+        for key, c in other._terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return self.ring._finish(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ChowPoly(self.ring, {m: -c for m, c in self._terms.items()})
+        return ChowPoly(self.ring, {key: -c for key, c in self._terms.items()})
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
+    @_coerced
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
+        ring = self.ring
+        if isinstance(other, (int, Fraction)):
+            q = _rational(other)
+            return ring._finish({key: c * q for key, c in self._terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ring = self.ring
         out = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                if ring._base_degree(m1) + ring._base_degree(m2) > ring.bound:
-                    continue
-                if not m1:
-                    mono = m2
-                elif not m2:
-                    mono = m1
-                else:
-                    exps = dict(m1)
-                    for n, e in m2:
-                        exps[n] = exps.get(n, 0) + e
-                    mono = ring._mono(exps)
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return ring._make(out)
+        _mul_into(out, self._terms, _by_degree(other._terms, ring.bound),
+                  ring.bound)
+        return ring._finish(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one
-        square = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
+        return _power(self, exponent, self.ring.one)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _rational(other)
-            if not q:
-                raise ZeroDivisionError("division of a class by zero")
-            return self * (1 / q)
+            return self * Fraction(1, _nonzero_rational(other))
         if isinstance(other, ChowPoly):
             if other.is_constant():
                 return self.__truediv__(other.constant_term())
             return expand_ratio(self, other)
         return NotImplemented
 
+    @_coerced
     def __rtruediv__(self, other):
-        num = self._coerce(other)
-        if num is None:
-            return NotImplemented
-        return num.__truediv__(self)
+        return other.__truediv__(self)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -381,61 +454,64 @@ class ChowPoly:
         if not isinstance(codim, int) or codim < 0 or codim > self.ring.bound:
             raise GradeError(f"component index {codim} outside [0, {self.ring.bound}]")
         ring = self.ring
-        return ChowPoly(ring, {m: c for m, c in self._terms.items()
-                               if ring._total_degree(m) == codim})
+        return ChowPoly(ring, {key: c for key, c in self._terms.items()
+                               if ring._total_degree(key) == codim})
 
     def truncate(self, degree):
         """Drop all terms of total degree above ``degree``."""
         ring = self.ring
-        return ChowPoly(ring, {m: c for m, c in self._terms.items()
-                               if ring._total_degree(m) <= degree})
+        if degree >= ring.bound and not ring.formal:
+            return self
+        return ChowPoly(ring, {key: c for key, c in self._terms.items()
+                               if ring._total_degree(key) <= degree})
 
     # -- formal-variable calculus ---------------------------------------
 
-    def derivative(self, name):
-        """Partial derivative with respect to a formal variable."""
+    def _by_power(self, name):
+        """``{e: {key without name: coeff}}``: the terms grouped by their
+        exponent of the formal variable ``name``."""
         if not self.ring.is_formal(name):
             raise SymbolError(f"{name!r} is not a formal variable of this ring")
-        out = {}
-        for mono, c in self._terms.items():
-            exps = dict(mono)
-            e = exps.get(name, 0)
-            if not e:
-                continue
-            exps[name] = e - 1
-            out[self.ring._mono(exps)] = c * e
-        return self.ring._make(out)
+        shift = self.ring._shift[name]
+        groups = {}
+        for key, c in self._terms.items():
+            e = key >> shift & _FIELD
+            groups.setdefault(e, {})[key - (e << shift)] = c
+        return groups
+
+    def derivative(self, name):
+        """Partial derivative with respect to a formal variable."""
+        groups = self._by_power(name)
+        unit = self.ring._unit[name]
+        return self.ring._finish({key + (e - 1) * unit: c * e
+                                  for e, part in groups.items() if e
+                                  for key, c in part.items()})
 
     def substitute(self, name, value):
         """Replace a formal variable by a class of the same ring."""
-        if not self.ring.is_formal(name):
-            raise SymbolError(f"{name!r} is not a formal variable of this ring")
-        value = self.ring.convert(value)
-        groups = {}
-        for mono, c in self._terms.items():
-            exps = dict(mono)
-            e = exps.pop(name, 0)
-            rest = self.ring._mono(exps)
-            groups.setdefault(e, {})[rest] = groups.get(e, {}).get(rest, Fraction(0)) + c
-        out = self.ring.zero
-        for e, terms in groups.items():
-            part = self.ring._make(terms)
-            out = out + part * value ** e
-        return out
+        groups = self._by_power(name)
+        ring = self.ring
+        value = ring.convert(value)
+        out = {}
+        power = ring.one
+        for e in range(max(groups, default=0) + 1):
+            if e:
+                power = power * value
+            if e in groups:
+                _mul_into(out, groups[e], _by_degree(power._terms, ring.bound),
+                          ring.bound)
+        return ring._finish(out)
 
     def rewrite(self, mapping, ring=None):
         """Substitute every symbol via ``mapping`` (defaulting to itself),
         landing in ``ring`` (defaulting to this one)."""
         target = ring if ring is not None else self.ring
         out = target.zero
-        for mono, c in self._terms.items():
+        for key, c in self._terms.items():
             term = target.const(c)
-            for name, e in mono:
+            for name, e in self.ring._monomial(key):
                 value = mapping.get(name)
-                if value is None:
-                    value = target.sym(name)
-                else:
-                    value = target.convert(value)
+                value = target.sym(name) if value is None else target.convert(value)
                 term = term * value ** e
             out = out + term
         return out
@@ -443,24 +519,8 @@ class ChowPoly:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        items = self.terms()
-        if not items:
-            return "0"
-        parts = []
-        for mono, c in items:
-            mono_s = "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono)
-            if not mono_s:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono_s)
-            elif c == -1:
-                parts.append("-" + mono_s)
-            else:
-                parts.append(f"{c}*{mono_s}")
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        return format_terms(self.terms(), str,
+                            lambda n, e: n if e == 1 else f"{n}^{e}", "*")
 
     def __repr__(self):
         return f"ChowPoly({self})"
@@ -474,23 +534,13 @@ def expand_ratio(numerator, denominator):
     nilpotent.  Formal variables are not allowed in the denominator, as no
     power of them ever truncates away.
     """
-    if isinstance(numerator, (int, Fraction)):
-        numerator = denominator.ring.const(numerator)
     if isinstance(denominator, (int, Fraction)):
         denominator = numerator.ring.const(denominator)
-    if numerator.ring != denominator.ring:
-        raise ContextError("operands belong to different ring contexts")
+    numerator = denominator._coerce(numerator)
     if denominator.constant_term() != 1:
         raise NonUnitError("series inversion requires constant term 1")
     ring = numerator.ring
     tail = ring.one - denominator  # -(positive-degree part)
     if tail.uses_formal():
         raise SymbolError("series inversion is not available over formal variables")
-    inverse = ring.one
-    power = ring.one
-    for _ in range(ring.bound):
-        power = power * tail
-        if power.is_zero():
-            break
-        inverse = inverse + power
-    return numerator * inverse
+    return numerator * _geometric(ring.one, tail, ring.bound)

@@ -239,3 +239,69 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "23328"
+
+
+@pytest.mark.parametrize("expr", ["H/0", "H/(2-2)", "(1+L)/(L-L)"])
+def test_division_by_the_zero_class_exits_2(tmp_path, capsys, expr):
+    cfg = write_config(tmp_path, WEIERSTRASS_FORMAL)
+    code, out, err = run_cli(capsys, ["push", "--config", cfg, "--class", expr])
+    assert (code, out, err) == (2, "", "error: division of a class by zero\n")
+    code, out, err = run_cli(capsys, ["push", "--config", cfg, "--class", expr,
+                                      "--format", "json"])
+    assert code == 2 and err == "error: division of a class by zero\n"
+    assert json.loads(out) == {"error": {
+        "exit_code": 2, "type": "ZeroDivisionError",
+        "message": "division of a class by zero"}}
+
+
+def test_division_by_the_zero_class_has_no_traceback(tmp_path):
+    cfg = write_config(tmp_path, WEIERSTRASS_FORMAL)
+    proc = subprocess.run([sys.executable, "-m", "relchern", "push",
+                           "--config", cfg, "--class", "H/0"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
+def all_digits(value):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+def test_exact_integers_print_beyond_the_digit_limit(tmp_path, capsys, fmt):
+    # H^2 pushes forward to 1 on a rank-3 bundle, so the class is the
+    # 6021-digit integer itself; the interpreter's default limit is 4300
+    limit = sys.get_int_max_str_digits()
+    cfg = write_config(tmp_path, WEIERSTRASS_FORMAL)
+    code, out, err = run_cli(capsys, ["push", "--config", cfg, "--format", fmt,
+                                      "--class", "H^2*2^20000"])
+    digits = all_digits(2 ** 20000)
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "json":
+        assert json.loads(out)["result"]["class"] == [
+            {"codim": 0, "terms": [{"monomial": {}, "coeff": {
+                "numerator": digits, "denominator": "1"}}]}]
+    else:
+        assert out == digits + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+def test_exact_fractions_print_beyond_the_digit_limit(tmp_path, capsys, fmt):
+    cfg = write_config(tmp_path, WEIERSTRASS_FORMAL)
+    code, out, _ = run_cli(capsys, ["push", "--config", cfg, "--format", fmt,
+                                    "--class", "H^2*L*2^20000/3^10000"])
+    num, den = all_digits(2 ** 20000), all_digits(3 ** 10000)
+    assert code == 0
+    if fmt == "json":
+        term = json.loads(out)["result"]["class"][0]["terms"][0]
+        assert term == {"monomial": {"L": 1},
+                        "coeff": {"numerator": num, "denominator": den}}
+    elif fmt == "latex":
+        assert out == f"\\tfrac{{{num}}}{{{den}}} L\n"
+    else:
+        assert out == f"{num}/{den}*L\n"
