@@ -22,7 +22,6 @@ provide).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
@@ -32,7 +31,7 @@ from .fibration import (FermatFamily, HypersurfaceSpec, UnsupportedDegreeError,
                         euler_characteristic, q_class, relative_chern_class,
                         smooth_hypersurface_euler, svw_components)
 from .pushforward import ProjClass, normalize_twist, pushforward_series
-from .render import class_to_json, to_latex, to_text
+from .render import all_digits, class_to_json, to_latex, to_text
 from .ring import ChowError
 
 COMMANDS = ("push", "euler", "svw", "qclass", "csm-check", "epoly")
@@ -277,20 +276,6 @@ def _run(cfg):
     raise ValidationError(f"unknown command {command!r}")
 
 
-@contextlib.contextmanager
-def _all_digits():
-    """Lift the interpreter's limit on converting long integers to decimal
-    text (Python 3.10.7 and later), so exact results print at any size."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
 def _fail(fmt, exc, code):
     print(f"error: {exc}", file=sys.stderr)
     if fmt == "json":
@@ -306,7 +291,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         fmt = cfg["format"]
-        with _all_digits():
+        with all_digits():
             doc, text = _run(cfg)
     except ModeError as exc:
         return _fail(fmt, exc, 3)

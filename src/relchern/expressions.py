@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .render import all_digits
 from .ring import ChowError, SymbolError
 
 
@@ -72,9 +73,9 @@ def _tokenize(text):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in "0123456789":  # ASCII only: str.isdigit admits "²" and "٣"
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i] in "0123456789":
                 i += 1
             tokens.append(("INT", int(text[start:i]), line, col))
             col += i - start
@@ -157,12 +158,14 @@ class _Parser:
 
 def parse_class_expr(text):
     """Parse an expression into its tree; malformed input raises
-    :class:`ParseError` with line and column."""
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    tok = parser.peek()
-    if tok[0] != "EOF":
-        raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2], tok[3])
+    :class:`ParseError` with line and column.  Integer literals may have
+    any number of digits."""
+    with all_digits():  # error messages quote the tokens, literals included
+        parser = _Parser(_tokenize(text))
+        node = parser.expr()
+        tok = parser.peek()
+        if tok[0] != "EOF":
+            raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2], tok[3])
     return node
 
 
@@ -198,7 +201,8 @@ def _wrap(node, minimum):
 
 def render_expr(node):
     """Canonical text for a tree; ``parse(render(t)) == t`` structurally."""
-    return _render(node)[0]
+    with all_digits():
+        return _render(node)[0]
 
 
 def evaluate(node, env, const):

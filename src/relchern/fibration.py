@@ -96,9 +96,9 @@ def q_class(hyp):
 
 
 def q_class_display(hyp):
-    """``Q`` again, through the divided-difference evaluation that keeps
-    only the minimally necessary truncation; must equal :func:`q_class`."""
-    return pushforward_closed_form(alpha_class(hyp), minimal_truncation=True)
+    """``Q`` again, through the divided-difference route
+    (:func:`pushforward_closed_form`); must equal :func:`q_class`."""
+    return pushforward_closed_form(alpha_class(hyp))
 
 
 def relative_chern_class(hyp, base):

@@ -62,7 +62,7 @@ class BundleSpec:
     without a zero entry is rejected; apply :func:`normalize_twist` first.
     """
 
-    __slots__ = ("ring", "roots", "_inv_chern")
+    __slots__ = ("ring", "roots")
 
     def __init__(self, roots):
         entries, ring = _root_entries(roots)
@@ -82,7 +82,6 @@ class BundleSpec:
                          key=lambda e: str(e[0]))
         self.ring = ring
         self.roots = tuple(zero + nonzero)
-        self._inv_chern = None
         if self.rank < 2:
             raise BundleError("bundle rank must be at least 2")
 
@@ -281,9 +280,7 @@ def normalize_twist(roots, cls=None):
 
 def inverse_total_chern(bundle):
     """Inverse of the bundle's total Chern class, truncated at the base dim."""
-    if bundle._inv_chern is None:
-        bundle._inv_chern = expand_ratio(bundle.ring.one, bundle.total_chern())
-    return bundle._inv_chern
+    return expand_ratio(bundle.ring.one, bundle.total_chern())
 
 
 def pushforward_power(bundle, exponent):
@@ -302,13 +299,12 @@ def pushforward_power(bundle, exponent):
 
 
 def pushforward_series(cls):
-    """Pushforward by the projection formula, coefficient by coefficient."""
+    """Pushforward by the projection formula, as in :func:`pushforward_power`."""
     bundle = cls.bundle
-    out = bundle.ring.zero
-    for j, a in enumerate(cls.coeffs):
-        if not a.is_zero():
-            out = out + a * pushforward_power(bundle, j)
-    return out
+    inverse = inverse_total_chern(bundle)
+    return sum((a * inverse.component(k)
+                for k, a in enumerate(cls.coeffs[bundle.fiber_dim:])),
+               bundle.ring.zero)
 
 
 # -- divided-difference route --------------------------------------------
@@ -380,7 +376,7 @@ def _formal_names(ring, count):
     return names
 
 
-def pushforward_closed_form(cls, minimal_truncation=False):
+def pushforward_closed_form(cls):
     """Pushforward via exact divided differences.
 
     The coefficients of ``cls`` from index ``rank - 1`` upward are packed
@@ -388,12 +384,9 @@ def pushforward_closed_form(cls, minimal_truncation=False):
     counts distinct nonzero roots), its ``(m-1)``-st divided difference is
     taken at one formal point per distinct root, repeated roots are handled
     by the normalized operator ``g -> (1/k!) d^k/dx^k (x^k g)``, and each
-    point is finally replaced by the negated root.
-
-    With ``minimal_truncation=True`` the packing starts already at index
-    ``rank - m``; the extra low coefficients are annihilated by the divided
-    difference, so the answer is unchanged.  Either way the result equals
-    :func:`pushforward_series`.
+    point is finally replaced by the negated root.  Coefficients below
+    ``H**(rank - 1)`` push forward to zero and are not packed.  The result
+    equals :func:`pushforward_series`.
     """
     bundle = cls.bundle
     ring = bundle.ring
@@ -402,14 +395,11 @@ def pushforward_closed_form(cls, minimal_truncation=False):
     m = len(roots)
     if m == 0:
         return cls.coeff(n)
-    shift = bundle.rank - m
-    low = shift if minimal_truncation else n
-    if len(cls.coeffs) <= low:
-        return ring.zero
     points = _formal_names(ring, m)
     aux = ring.with_formal(points)
-    gcoeffs = [aux.convert(cls.coeff(p)) if p >= low else aux.zero
-               for p in range(shift, len(cls.coeffs))]
+    # G(t) = sum over p >= n of a_p * t^(p - rank + m)
+    gcoeffs = ([aux.zero] * (m - 1)
+               + [aux.convert(a) for a in cls.coeffs[n:]])
     g = divided_difference(gcoeffs, points, aux)
     for name, (form, mult) in zip(points, roots):
         k = mult - 1

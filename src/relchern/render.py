@@ -2,7 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import re
+import sys
+
+
+@contextlib.contextmanager
+def all_digits():
+    """Lift the interpreter's limit on converting long integers to and from
+    decimal text (Python 3.10.7 and later) inside the block, so exact values
+    print and parse at any size; the limit is restored on leaving it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def format_terms(items, coeff, power, sep):
@@ -12,16 +29,17 @@ def format_terms(items, coeff, power, sep):
     if not items:
         return "0"
     parts = []
-    for mono, c in items:
-        mono_s = sep.join(power(n, e) for n, e in mono)
-        if not mono_s:
-            parts.append(coeff(c))
-        elif c == 1:
-            parts.append(mono_s)
-        elif c == -1:
-            parts.append("-" + mono_s)
-        else:
-            parts.append(f"{coeff(c)}{sep}{mono_s}")
+    with all_digits():
+        for mono, c in items:
+            mono_s = sep.join(power(n, e) for n, e in mono)
+            if not mono_s:
+                parts.append(coeff(c))
+            elif c == 1:
+                parts.append(mono_s)
+            elif c == -1:
+                parts.append("-" + mono_s)
+            else:
+                parts.append(f"{coeff(c)}{sep}{mono_s}")
     text = parts[0]
     for p in parts[1:]:
         text += " - " + p[1:] if p.startswith("-") else " + " + p
@@ -67,11 +85,12 @@ def class_to_json(cls):
     precision survives any JSON reader.
     """
     out = []
-    for k in range(cls.ring.bound + 1):
-        piece = cls.component(k)
-        if piece.is_zero():
-            continue
-        terms = [{"monomial": {n: e for n, e in mono}, "coeff": rational_json(c)}
-                 for mono, c in piece.terms()]
-        out.append({"codim": k, "terms": terms})
+    with all_digits():
+        for k in range(cls.ring.bound + 1):
+            piece = cls.component(k)
+            if piece.is_zero():
+                continue
+            terms = [{"monomial": {n: e for n, e in mono},
+                      "coeff": rational_json(c)} for mono, c in piece.terms()]
+            out.append({"codim": k, "terms": terms})
     return out

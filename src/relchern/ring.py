@@ -172,9 +172,6 @@ class ChowRing:
     def with_formal(self, names):
         return ChowRing(self.symbols, self.bound, self.formal + tuple(names))
 
-    def base_ring(self):
-        return ChowRing(self.symbols, self.bound) if self.formal else self
-
     def with_bound(self, bound):
         return ChowRing(self.symbols, bound, self.formal)
 

@@ -63,6 +63,8 @@ def test_unknown_symbol_is_an_evaluation_error():
     ("1.5*L", 1, 2),        # no floats in the grammar
     ("", 1, 1),
     ("2*H\n+ 3*?", 2, 5),   # positions track line breaks
+    ("L*²", 1, 3),          # literals are ASCII digits only
+    ("٣*L", 1, 1),
 ])
 def test_parse_error_positions(src, line, column):
     with pytest.raises(ParseError) as err:

@@ -10,7 +10,8 @@ from relchern import (BundleError, BundleSpec, ChowError, ChowRing, ProjClass,
                       inverse_total_chern, normalize_twist,
                       pushforward_closed_form, pushforward_power,
                       pushforward_series)
-from tests.randgen import random_base, random_bundle, random_form, random_proj_class
+from tests.randgen import (random_base, random_bundle, random_form, random_poly,
+                           random_proj_class, random_setup)
 
 
 def ring_L(bound):
@@ -236,7 +237,6 @@ def test_closed_form_weierstrass_alpha():
     assert expected == 12 * L - 72 * L ** 2 + 432 * L ** 3
     assert pushforward_closed_form(alpha) == expected
     assert pushforward_series(alpha) == expected
-    assert pushforward_closed_form(alpha, minimal_truncation=True) == expected
 
 
 def test_closed_form_repeated_root():
@@ -245,7 +245,6 @@ def test_closed_form_repeated_root():
     b = BundleSpec([ring.zero, (L, 2)])
     cube = ProjClass.hyperplane(b) ** 3
     assert pushforward_closed_form(cube) == -2 * L
-    assert pushforward_closed_form(cube, minimal_truncation=True) == -2 * L
 
 
 def test_closed_form_rank_without_nontrivial_roots():
@@ -269,8 +268,27 @@ def test_route_equivalence_randomized():
         series = pushforward_series(cls)
         closed = pushforward_closed_form(cls)
         assert series == closed, (trial, bundle, cls)
-        minimal = pushforward_closed_form(cls, minimal_truncation=True)
-        assert minimal == series, (trial, bundle, cls)
+
+
+def test_series_matches_per_power_reference():
+    # the projection formula applied one H-power at a time
+    rng = random.Random(71)
+    for trial in range(60):
+        _, bundle, cls = random_setup(rng)
+        reference = sum((cls.coeff(j) * pushforward_power(bundle, j)
+                         for j in range(len(cls.coeffs))), bundle.ring.zero)
+        assert pushforward_series(cls) == reference, (trial, bundle, cls)
+
+
+def test_powers_below_the_fiber_dimension_push_to_zero():
+    rng = random.Random(83)
+    for trial in range(60):
+        _, bundle, cls = random_setup(rng)
+        n = bundle.fiber_dim
+        noise = [random_poly(rng, bundle.ring) for _ in range(n)]
+        noisy = cls + ProjClass(bundle, noise)
+        assert pushforward_series(noisy) == pushforward_series(cls), trial
+        assert pushforward_closed_form(noisy) == pushforward_closed_form(cls), trial
 
 
 def test_projection_formula():
