@@ -73,6 +73,11 @@ def _as_int(value, what, minimum=None):
     return value
 
 
+def _as_bool(value, what):
+    _require(isinstance(value, bool), f"{what} must be true or false")
+    return value
+
+
 def _load_config(args):
     if args.config is None:
         raw = {}
@@ -98,7 +103,7 @@ def _load_config(args):
         "format": fmt,
         "trunc": trunc,
         "class": class_expr,
-        "integrate": bool(raw.get("integrate", False)),
+        "integrate": _as_bool(raw.get("integrate", False), "integrate"),
         "base": raw.get("base"),
         "bundle": raw.get("bundle"),
         "hypersurface": raw.get("hypersurface"),
@@ -117,7 +122,8 @@ def _build_base(cfg):
                  all(isinstance(d, str) for d in divisors),
                  "base.divisors must be a list of symbol names")
         _require("H" not in divisors, "the divisor name H is reserved")
-        return FormalBase(dim, tuple(divisors), bool(desc.get("fano", False)))
+        return FormalBase(dim, tuple(divisors),
+                          _as_bool(desc.get("fano", False), "base.fano"))
     if kind == "projective":
         bind = desc.get("bind", {})
         _require(isinstance(bind, dict) and len(bind) <= 1,

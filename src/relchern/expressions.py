@@ -15,6 +15,7 @@ the same trees evaluate to base classes or to classes on a projectivization.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .render import all_digits
@@ -97,10 +98,14 @@ def _tokenize(text):
     return tokens
 
 
+MAX_NESTING = 100  # levels of parentheses; each costs a few stack frames
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -149,8 +154,13 @@ class _Parser:
             self.take()
             return Sym(tok[1])
         if tok[0] == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels",
+                                 tok[2], tok[3])
             self.take()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             self.take(")")
             return node
         raise ParseError(f"expected a value, found {tok[1]!r}", tok[2], tok[3])
@@ -182,15 +192,16 @@ def _render(node):
     if isinstance(node, Pow):
         return _wrap(node.base, _PREC_ATOM) + f"^{node.exponent}", _PREC_POW
     if isinstance(node, BinOp):
-        if node.op in "+-":
-            mine = _PREC_ADD
-            left = _wrap(node.left, mine)
-            right = _wrap(node.right, mine + 1)
-        else:
-            mine = _PREC_MUL
-            left = _wrap(node.left, mine)
-            right = _wrap(node.right, mine + 1)
-        return f"{left} {node.op} {right}", mine
+        additive = node.op in "+-"
+        mine = _PREC_ADD if additive else _PREC_MUL
+        # a left-deep chain of operators of one precedence, as a long sum
+        # parses, is walked in a loop rather than by recursion
+        rights = []
+        while isinstance(node, BinOp) and (node.op in "+-") == additive:
+            rights.append(f"{node.op} {_wrap(node.right, mine + 1)}")
+            node = node.left
+        rights.append(_wrap(node, mine))
+        return " ".join(reversed(rights)), mine
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -205,29 +216,33 @@ def render_expr(node):
         return _render(node)[0]
 
 
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+
+
 def evaluate(node, env, const):
     """Evaluate a tree: symbols through ``env``, integer literals through
     ``const``.  Value semantics (truncation, division rules) are whatever
-    the value type implements."""
+    the value type implements.  The left spine of binary operators, as a
+    long sum or product parses, is walked in a loop rather than by
+    recursion."""
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.left
     if isinstance(node, Num):
-        return const(node.value)
-    if isinstance(node, Sym):
+        value = const(node.value)
+    elif isinstance(node, Sym):
         try:
-            return env[node.name]
+            value = env[node.name]
         except KeyError:
             raise SymbolError(f"unknown symbol {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, env, const)
-    if isinstance(node, Pow):
-        return evaluate(node.base, env, const) ** node.exponent
-    if isinstance(node, BinOp):
-        left = evaluate(node.left, env, const)
-        right = evaluate(node.right, env, const)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
-    raise TypeError(f"not an expression node: {node!r}")
+    elif isinstance(node, Neg):
+        value = -evaluate(node.operand, env, const)
+    elif isinstance(node, Pow):
+        value = evaluate(node.base, env, const) ** node.exponent
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    for binop in reversed(spine):
+        value = _OPERATORS[binop.op](value, evaluate(binop.right, env, const))
+    return value

@@ -87,7 +87,7 @@ def alpha_class(hyp):
     y = hyp.divisor_class()
     if y.is_zero():
         return y
-    return out * y * (one + y).inverse()
+    return out * y / (one + y)
 
 
 def q_class(hyp):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .ring import (ChowError, ChowPoly, ContextError, Fraction, NonUnitError,
-                   _by_degree, _coerced, _geometric, _mul_into,
+                   _by_degree, _coerced, _divide_unit, _mul_into,
                    _nonzero_rational, _power, expand_ratio)
 
 
@@ -214,17 +214,40 @@ class ProjClass:
         return _power(self, exponent, ProjClass.constant(self.bundle, 1))
 
     def inverse(self):
-        """Truncated geometric inverse; requires constant term 1."""
-        if self.constant_term() != 1:
-            raise NonUnitError("series inversion requires constant term 1")
-        one = ProjClass.constant(self.bundle, 1)
-        return _geometric(one, one - self, self.bundle.ambient_dim)
+        """``1 / self``: the inverse of a nonzero rational constant or of a
+        class with constant term 1."""
+        return ProjClass.constant(self.bundle, 1) / self
 
     @_coerced
     def __truediv__(self, other):
+        """Division by a nonzero rational constant, or exact division by a
+        class ``u`` with constant term 1, a unit of the truncated ring.
+
+        The quotient ``z`` is found coefficient by coefficient in ``H``:
+        ``z_n = (a_n - sum_(k >= 1) u_k z_(n-k)) / u_0``, each truncated at
+        the codimension ``H**n`` leaves room for, and the division by
+        ``u_0`` is :func:`_divide_unit`.
+        """
         if len(other.coeffs) <= 1 and other.coeff(0).is_constant():
             return self * Fraction(1, _nonzero_rational(other.constant_term()))
-        return self * other.inverse()
+        if other.constant_term() != 1:
+            raise NonUnitError("series inversion requires constant term 1")
+        ring = self.bundle.ring
+        dmax = self.bundle.ambient_dim
+        tail = {key: c for key, c in other.coeffs[0]._terms.items() if key}
+        negated = [(k, _by_degree({key: -c for key, c in u._terms.items()},
+                                  ring.bound))
+                   for k, u in enumerate(other.coeffs) if k and u]
+        quotient = []
+        for n in range(dmax + 1):
+            limit = min(ring.bound, dmax - n)
+            num = dict(self.coeff(n)._terms)
+            for k, u in negated:
+                if k > n:
+                    break
+                _mul_into(num, quotient[n - k], u, limit)
+            quotient.append(_divide_unit(num, tail, limit))
+        return ProjClass(self.bundle, [ChowPoly(ring, z) for z in quotient])
 
     @_coerced
     def __rtruediv__(self, other):

@@ -291,16 +291,43 @@ def _power(base, exponent, one):
     return result
 
 
-def _geometric(one, tail, steps):
-    """``one + tail + tail**2 + ...``, stopping at the first vanishing power
-    or after ``steps`` powers."""
-    total = power = one
-    for _ in range(steps):
-        power = power * tail
-        if power.is_zero():
-            break
-        total = total + power
-    return total
+def _divide_unit(num, tail, limit):
+    """The term map of ``num / (1 + tail)``, dropping terms of degree above
+    ``limit``; every term of ``tail`` must have positive degree.
+
+    The quotient is finished degree by degree: once all lower degrees have
+    pushed ``-term * tail`` into it, degree ``d`` holds exactly the
+    quotient's degree-``d`` terms, which then push into higher degrees in
+    turn.  The cost is one pass over the pairs of a quotient term and a tail
+    term whose degree stays within ``limit``.
+    """
+    buckets = [{} for _ in range(limit + 1)]
+    for key, c in num.items():
+        d = key & _FIELD
+        if d <= limit:
+            buckets[d][key] = c
+    groups = {}  # -tail, by degree
+    for key, c in tail.items():
+        groups.setdefault(key & _FIELD, []).append((key, -c))
+    negated = sorted(groups.items())
+    out = {}
+    for d, bucket in enumerate(buckets):
+        room = limit - d
+        for key, c in bucket.items():
+            if not c:
+                continue
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[key] = c
+            for e, pairs in negated:
+                if e > room:
+                    break
+                target = buckets[d + e]
+                get = target.get
+                for k2, c2 in pairs:
+                    k = key + k2
+                    target[k] = get(k, 0) + c * c2
+    return out
 
 
 class ChowPoly:
@@ -309,8 +336,8 @@ class ChowPoly:
     Build values through :class:`ChowRing` (``ring.sym``, ``ring.const``,
     ``ring.linear``) and combine them with ``+ - * / **``.  Division accepts
     a nonzero rational constant (exact scalar division) or a class with
-    constant term 1 (truncated geometric series); anything else raises
-    :class:`NonUnitError`.
+    constant term 1 (exact division by a unit, see :func:`expand_ratio`);
+    anything else raises :class:`NonUnitError`.
     """
 
     __slots__ = ("ring", "_terms")
@@ -524,20 +551,20 @@ class ChowPoly:
 
 
 def expand_ratio(numerator, denominator):
-    """``numerator / denominator`` as a truncated geometric series.
+    """``numerator / denominator``, exact in the truncated ring.
 
-    The denominator must have constant term 1 (a unit for the truncated
-    ring); the expansion terminates because its positive-degree part is
-    nilpotent.  Formal variables are not allowed in the denominator, as no
-    power of them ever truncates away.
+    The denominator must have constant term 1, which makes it a unit of the
+    truncated ring; the quotient is computed degree by degree
+    (:func:`_divide_unit`).  Formal variables are not allowed in the
+    denominator, as no power of them ever truncates away.
     """
     if isinstance(denominator, (int, Fraction)):
         denominator = numerator.ring.const(denominator)
     numerator = denominator._coerce(numerator)
     if denominator.constant_term() != 1:
         raise NonUnitError("series inversion requires constant term 1")
-    ring = numerator.ring
-    tail = ring.one - denominator  # -(positive-degree part)
-    if tail.uses_formal():
+    if denominator.uses_formal():
         raise SymbolError("series inversion is not available over formal variables")
-    return numerator * _geometric(ring.one, tail, ring.bound)
+    ring = numerator.ring
+    tail = {key: c for key, c in denominator._terms.items() if key}
+    return ChowPoly(ring, _divide_unit(numerator._terms, tail, ring.bound))

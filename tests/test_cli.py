@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relchern.cli import main
 
@@ -305,3 +307,167 @@ def test_exact_fractions_print_beyond_the_digit_limit(tmp_path, capsys, fmt):
         assert out == f"\\tfrac{{{num}}}{{{den}}} L\n"
     else:
         assert out == f"{num}/{den}*L\n"
+
+
+FLAT_SUM = "+".join(["H^2"] * 3000)  # H^2 pushes forward to 1 on a rank-3 bundle
+DEEP = "(" * 2000 + "H^2" + ")" * 2000
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_long_sums_evaluate_without_recursion(tmp_path, capsys, fmt):
+    cfg = write_config(tmp_path, WEIERSTRASS_FORMAL)
+    code, out, err = run_cli(capsys, ["push", "--config", cfg, "--format", fmt,
+                                      f"--class={FLAT_SUM}"])
+    assert code == 0 and err == ""
+    if fmt == "json":
+        assert json.loads(out)["result"]["class"] == [
+            {"codim": 0, "terms": [{"monomial": {}, "coeff": {
+                "numerator": "3000", "denominator": "1"}}]}]
+    else:
+        assert out == "3000\n"
+    code, out, _ = run_cli(capsys, ["push", "--config", cfg,
+                                    "--class=" + "*".join(["(1+L)"] * 3000) + "*H^2"])
+    assert (code, out) == (0, "1 + 3000*L + 4498500*L^2 + 4495501000*L^3\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_over_deep_nesting_is_a_parse_error(tmp_path, capsys, fmt):
+    cfg = write_config(tmp_path, WEIERSTRASS_FORMAL)
+    code, out, err = run_cli(capsys, ["push", "--config", cfg, "--format", fmt,
+                                      f"--class={DEEP}"])
+    message = "line 1, column 101: parentheses nested deeper than 100 levels"
+    assert code == 2 and err == f"error: {message}\n"
+    if fmt == "json":
+        assert json.loads(out)["error"] == {"exit_code": 2, "type": "ParseError",
+                                            "message": message}
+    nested = "(" * 100 + "H^2" + ")" * 100
+    code, out, _ = run_cli(capsys, ["push", "--config", cfg, f"--class={nested}"])
+    assert (code, out) == (0, "1\n")
+
+
+@pytest.mark.parametrize("expr, exit_code", [(FLAT_SUM, 0), (DEEP, 2)],
+                         ids=["flat-sum", "deep-nesting"])
+def test_long_and_deep_expressions_have_no_traceback(tmp_path, expr, exit_code):
+    cfg = write_config(tmp_path, WEIERSTRASS_FORMAL)
+    proc = subprocess.run([sys.executable, "-m", "relchern", "push",
+                           "--config", cfg, f"--class={expr}"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == exit_code and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("where, value", [
+    ("integrate", "false"), ("integrate", 1), ("integrate", None),
+    ("fano", "no"), ("fano", 0), ("fano", "true")])
+def test_booleans_must_be_json_booleans(tmp_path, capsys, where, value):
+    payload = json.loads(json.dumps(WEIERSTRASS_FORMAL))
+    if where == "fano":
+        payload["base"]["fano"] = value
+    else:
+        payload[where] = value
+    cfg = write_config(tmp_path, payload)
+    code, out, err = run_cli(capsys, ["euler", "--config", cfg])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "must be true or false" in err
+    code, out, _ = run_cli(capsys, ["euler", "--config", cfg, "--format", "json"])
+    assert code == 2 and json.loads(out)["error"]["type"] == "ValidationError"
+
+
+def test_json_booleans_keep_their_meaning(tmp_path, capsys):
+    payload = json.loads(json.dumps(WEIERSTRASS_FORMAL))
+    payload["integrate"] = False
+    payload["base"]["fano"] = False
+    cfg = write_config(tmp_path, payload)
+    code, out, _ = run_cli(capsys, ["euler", "--config", cfg])
+    assert (code, out) == (0, "432*L^3 - 72*L^2*c1 + 12*L*c2\n")
+
+
+# -- fuzz of the exit-code contract ------------------------------------------
+
+_TOKENS = ["H", "L", "M", "c1", "c2", "x", "0", "1", "2", "7",
+           "+", "-", "*", "/", "^", "(", ")", " ", "^2", "1+"]
+
+
+def _expressions():
+    tokens = st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)
+    # a short piece, repeated as a long sum or product or nested deeply
+    piece = st.sampled_from(["H", "H^2", "L", "(1+L)", "2", "H/(1+L)"])
+    # lengths spread evenly on a log scale, from 1 to 3000
+    sizes = st.integers(0, 12).map(lambda k: min(2 ** k, 3000))
+    repeated = st.builds(lambda p, op, n: op.join([p] * n), piece,
+                         st.sampled_from("+-*"), sizes)
+    nested = st.builds(lambda p, n: "(" * n + p + ")" * n, piece, sizes)
+    return st.one_of(tokens, repeated, nested)
+
+
+_WILD_FORMS = st.one_of(
+    st.dictionaries(st.sampled_from(["L", "M", "c1", "H", "Q"]),
+                    st.one_of(st.integers(-3, 3), st.just("2")), max_size=2),
+    st.just("L"), st.none())
+_WILD_JOBS = st.fixed_dictionaries({
+    "base": st.one_of(
+        st.fixed_dictionaries({"kind": st.just("formal"),
+                               "dim": st.one_of(st.integers(-1, 3), st.just("3")),
+                               "fano": st.one_of(st.booleans(), st.just("no"))}),
+        st.fixed_dictionaries({"kind": st.sampled_from(["projective", "torus"]),
+                               "dim": st.integers(0, 3),
+                               "bind": st.dictionaries(st.sampled_from(["L", "H"]),
+                                                       st.integers(-2, 5),
+                                                       max_size=2)}),
+        st.none()),
+    "bundle": st.fixed_dictionaries({"roots": st.lists(
+        st.fixed_dictionaries({"form": _WILD_FORMS,
+                               "mult": st.one_of(st.integers(0, 2), st.just(True))}),
+        max_size=4)}),
+    "hypersurface": st.fixed_dictionaries({
+        "degree": st.one_of(st.integers(-1, 4), st.none()),
+        "beta": _WILD_FORMS}),
+    "integrate": st.one_of(st.booleans(), st.just("false")),
+    "class": _expressions(),
+})
+# well-formed jobs, so that expressions and computations are reached too
+_L_FORMS = st.dictionaries(st.just("L"), st.integers(-3, 3))
+_VALID_JOBS = st.fixed_dictionaries({
+    "base": st.one_of(
+        st.fixed_dictionaries({"kind": st.just("formal"), "dim": st.integers(0, 3)}),
+        st.fixed_dictionaries({"kind": st.just("projective"),
+                               "dim": st.integers(0, 3),
+                               "bind": st.dictionaries(st.just("L"),
+                                                       st.integers(1, 4))})),
+    "bundle": st.fixed_dictionaries({"roots": st.lists(
+        st.fixed_dictionaries({"form": _L_FORMS, "mult": st.integers(1, 2)}),
+        min_size=1, max_size=3).map(lambda roots: [{"form": {}}] + roots)}),
+    "hypersurface": st.fixed_dictionaries({"degree": st.integers(0, 4),
+                                           "beta": _L_FORMS}),
+    "integrate": st.booleans(),
+})
+
+
+def assert_contract(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if fmt == "json":
+        json.loads(out)
+
+
+_FORMATS = st.sampled_from(["text", "latex", "json"])
+_FUZZ = settings(max_examples=50, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(fmt=_FORMATS, job=_VALID_JOBS, expr=_expressions())
+def test_fuzzed_expressions_keep_the_exit_code_contract(tmp_path, capsys, fmt,
+                                                        job, expr):
+    assert_contract(capsys, ["push", "--config", write_config(tmp_path, job),
+                             "--format", fmt, f"--class={expr}"], fmt)
+
+
+@_FUZZ
+@given(command=st.sampled_from(["push", "euler", "svw", "qclass", "csm-check",
+                                "epoly"]),
+       fmt=_FORMATS, job=st.one_of(_VALID_JOBS, _WILD_JOBS))
+def test_fuzzed_jobs_keep_the_exit_code_contract(tmp_path, capsys, command, fmt,
+                                                  job):
+    assert_contract(capsys, [command, "--config", write_config(tmp_path, job),
+                             "--format", fmt], fmt)

@@ -65,6 +65,8 @@ def test_unknown_symbol_is_an_evaluation_error():
     ("2*H\n+ 3*?", 2, 5),   # positions track line breaks
     ("L*²", 1, 3),          # literals are ASCII digits only
     ("٣*L", 1, 1),
+    ("(" * 101 + "L" + ")" * 101, 1, 101),  # nesting is capped at 100
+    ("1 +\n" + "(" * 120 + "L" + ")" * 120, 2, 101),
 ])
 def test_parse_error_positions(src, line, column):
     with pytest.raises(ParseError) as err:
@@ -78,6 +80,20 @@ def test_render_parse_fixpoint_random():
         tree = random_expr(rng)
         text = render_expr(tree)
         assert parse_class_expr(text) == tree, text
+
+
+@pytest.mark.parametrize("op, piece, expected", [
+    ("+", "L", "3000*L"),
+    ("-", "L", "-2998*L"),
+    ("*", "(1+L)", "1 + 3000*L + 4498500*L^2"),
+    ("/", "(1+L)", "1 - 2998*L + 4495501*L^2"),
+])
+def test_long_chains_render_and_evaluate_without_recursion(op, piece, expected):
+    ring = ChowRing([Symbol("L")], 2)
+    text = f" {op} ".join([piece] * 3000)
+    tree = parse_class_expr(text)
+    assert render_expr(tree) == text.replace("(1+L)", "(1 + L)")
+    assert str(evaluate(tree, {"L": ring.sym("L")}, ring.const)) == expected
 
 
 def test_rendered_classes_read_back():

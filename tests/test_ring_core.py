@@ -1,6 +1,7 @@
 """Properties of the ring core's fast paths: truncation-aware products,
-exact ``int``/``Fraction`` coefficients, the canonical term order and the
-synthetic division behind the divided-difference route."""
+exact ``int``/``Fraction`` coefficients, the canonical term order, the
+synthetic division behind the divided-difference route and the exact
+division by units behind ``expand_ratio`` and ``ProjClass`` division."""
 
 import random
 from fractions import Fraction
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relchern import ChowError, ChowRing, ProjClass, Symbol, expand_ratio
+from relchern import (ChowError, ChowRing, HypersurfaceSpec, NonUnitError,
+                      ProjClass, Symbol, alpha_class, expand_ratio)
 from relchern.pushforward import _exact_linear_quotient
-from tests.randgen import random_poly, random_setup
+from tests.randgen import (random_bundle, random_form, random_poly,
+                           random_rational, random_setup)
 
 RING = ChowRing([Symbol("L"), Symbol("M"), Symbol("c2", 2)], 3)
 FORMAL = RING.with_formal(["x", "y"])
@@ -133,3 +136,106 @@ def test_formal_exponent_overflow_is_an_error():
     with pytest.raises(ChowError):
         x ** (2 ** 31)
     assert FORMAL.sym("x").coefficient({"x": 2 ** 40}) == 0
+
+
+# -- exact division by units -----------------------------------------------
+
+
+def reference_geometric(one, tail, steps):
+    # the truncated geometric series 1 + t + t^2 + ... that division by a
+    # unit replaced: t = 1 - unit is nilpotent in the truncated ring
+    total = power = one
+    for _ in range(steps):
+        power = power * tail
+        if power.is_zero():
+            break
+        total = total + power
+    return total
+
+
+def reference_inverse(u):
+    one = ProjClass.constant(u.bundle, 1)
+    return reference_geometric(one, one - u, u.bundle.ambient_dim)
+
+
+def reference_expand_ratio(num, den):
+    ring = num.ring
+    return num * reference_geometric(ring.one, ring.one - den, ring.bound)
+
+
+def random_unit(rng, bundle):
+    """``1 + (positive-degree base class) + sum u_k H^k`` with ``H^1`` to
+    ``H^4`` terms and, half of the time, non-integral coefficients."""
+    scale = (random_rational(rng) or 1) if rng.random() < 0.5 else 1
+    coeffs = [random_poly(rng, bundle.ring, 3, 4) * scale
+              for _ in range(rng.randint(2, 5))]
+    coeffs[0] = 1 + coeffs[0] - coeffs[0].constant_term()
+    return ProjClass(bundle, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_projclass_division_by_a_unit_matches_the_geometric_series(seed):
+    rng = random.Random(seed)
+    _, bundle, a = random_setup(rng)
+    if rng.random() < 0.5:
+        a = a * random_rational(rng)
+    u = random_unit(rng, bundle)
+    inverse = reference_inverse(u)
+    quotient = a / u
+    assert quotient == a * inverse
+    assert quotient * u == a
+    assert u.inverse() == inverse
+    for value in (quotient, u.inverse()):
+        for c in value.coeffs:
+            assert_exact(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_alpha_class_matches_the_geometric_series(seed):
+    rng = random.Random(seed)
+    _, bundle, _ = random_setup(rng)
+    hyp = HypersurfaceSpec(rng.randint(0, 4), random_form(rng, bundle.ring, False),
+                           bundle)
+    one = ProjClass.constant(bundle, 1)
+    H = ProjClass.hyperplane(bundle)
+    chern = one
+    for form, mult in bundle.roots:
+        chern = chern * (one + H + ProjClass.from_base(bundle, form)) ** mult
+    y = hyp.divisor_class()
+    assert alpha_class(hyp) == chern * y * reference_inverse(1 + y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), st.fractions(max_denominator=6))
+def test_expand_ratio_matches_the_geometric_series(a, b, q):
+    den = RING.one + (b - b.component(0)) * q
+    quotient = expand_ratio(a, den)
+    assert quotient == reference_expand_ratio(a, den)
+    assert quotient * den == a
+    assert_exact(quotient)
+
+
+@settings(max_examples=60, deadline=None)
+@given(formal_polys(), polys())
+def test_expand_ratio_keeps_formal_variables_in_the_numerator(a, b):
+    den = FORMAL.one + FORMAL.convert(b - b.component(0))
+    quotient = expand_ratio(a, den)
+    assert quotient == reference_expand_ratio(a, den)
+    assert_exact(quotient)
+
+
+def test_division_by_a_non_unit_or_zero():
+    rng = random.Random(7)
+    bundle = random_bundle(rng, RING.with_bound(2))
+    H = ProjClass.hyperplane(bundle)
+    L = ProjClass.from_base(bundle, bundle.ring.sym("L"))
+    with pytest.raises(NonUnitError):
+        H / (2 + H)
+    with pytest.raises(NonUnitError):
+        H / (L + H)
+    with pytest.raises(ZeroDivisionError):
+        H / (H - H)
+    assert (H / 2) * 2 == H
+    assert ProjClass.constant(bundle, 2).inverse() == Fraction(1, 2)
