@@ -140,7 +140,7 @@ def svw_components(hyp, base):
     full = relative_chern_class(hyp, base)
     if full.is_zero():
         return []
-    return [full.component(j) for j in range(1, base.dim + 1)]
+    return full.components()[1:]
 
 
 def smooth_hypersurface_euler(n, d):

@@ -161,11 +161,6 @@ class ProjClass:
     def constant_term(self):
         return self.coeff(0).constant_term()
 
-    def is_homogeneous(self, degree=None):
-        degs = {j + a.ring._total_degree(key)
-                for j, a in enumerate(self.coeffs) for key in a._terms}
-        return len(degs) <= 1 and (degree is None or degs <= {degree})
-
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
@@ -200,7 +195,9 @@ class ProjClass:
     def __mul__(self, other):
         ring = self.bundle.ring
         dmax = self.bundle.ambient_dim
-        out = [{} for _ in range(dmax + 1)]
+        # widths m and n reach only the slots H^0 .. H^(m + n - 2)
+        out = [{} for _ in range(min(dmax + 1,
+                                     len(self.coeffs) + len(other.coeffs) - 1))]
         right = [_by_degree(b._terms, ring.bound) for b in other.coeffs]
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(right[:dmax + 1 - i]):
@@ -231,7 +228,7 @@ class ProjClass:
         if len(other.coeffs) <= 1 and other.coeff(0).is_constant():
             return self * Fraction(1, _nonzero_rational(other.constant_term()))
         if other.constant_term() != 1:
-            raise NonUnitError("series inversion requires constant term 1")
+            raise NonUnitError("division requires a denominator with constant term 1")
         ring = self.bundle.ring
         dmax = self.bundle.ambient_dim
         tail = {key: c for key, c in other.coeffs[0]._terms.items() if key}
@@ -324,9 +321,9 @@ def pushforward_power(bundle, exponent):
 def pushforward_series(cls):
     """Pushforward by the projection formula, as in :func:`pushforward_power`."""
     bundle = cls.bundle
-    inverse = inverse_total_chern(bundle)
-    return sum((a * inverse.component(k)
-                for k, a in enumerate(cls.coeffs[bundle.fiber_dim:])),
+    pieces = inverse_total_chern(bundle).components()
+    return sum((a * piece
+                for a, piece in zip(cls.coeffs[bundle.fiber_dim:], pieces)),
                bundle.ring.zero)
 
 
@@ -354,13 +351,12 @@ def divided_difference(coeffs, points, ring=None):
     for c in lifted:
         if c.symbols_used() & banned:
             raise ChowError("coefficients must not involve the point variables")
-    row = []
-    for name in points:
-        x = ring.sym(name)
-        acc = ring.zero
-        for c in reversed(lifted):
-            acc = acc * x + c
-        row.append(acc)
+    # G(x) for each point: the keys of coefficient p shifted by x^p; the
+    # coefficients are free of x, so no two shifted keys collide
+    row = [ChowPoly(ring, {key + p * ring._unit[name]: c
+                           for p, a in enumerate(lifted)
+                           for key, c in a._terms.items()})
+           for name in points]
     for step in range(1, len(points)):
         row = [_exact_linear_quotient(row[i] - row[i + 1],
                                       points[i], points[i + step], ring)
@@ -427,9 +423,10 @@ def pushforward_closed_form(cls):
     for name, (form, mult) in zip(points, roots):
         k = mult - 1
         if k:
-            g = g * aux.sym(name) ** k
-            for _ in range(k):
-                g = g.derivative(name)
-            g = g / math.factorial(k)
+            # (1/k!) d^k/dx^k (x^k g) takes x^e to comb(e + k, k) x^e
+            unit = aux._unit[name]
+            g = aux._finish({key + e * unit: c * math.comb(e + k, k)
+                             for e, part in g._by_power(name).items()
+                             for key, c in part.items()})
         g = g.substitute(name, aux.convert(-form))
     return ring.convert(g)

@@ -84,16 +84,8 @@ def class_to_json(cls):
     order; numerators and denominators are decimal strings so arbitrary
     precision survives any JSON reader.
     """
-    ring = cls.ring
-    out = []
     with all_digits():
-        # terms() runs by codimension, so each piece is one run of it
-        for mono, c in cls.terms():
-            k = sum(e * ring.degree_of(n) for n, e in mono)
-            if k > ring.bound:  # only formal variables get here; no component does
-                break
-            if not out or out[-1]["codim"] != k:
-                out.append({"codim": k, "terms": []})
-            out[-1]["terms"].append({"monomial": {n: e for n, e in mono},
-                                     "coeff": rational_json(c)})
-    return out
+        return [{"codim": k,
+                 "terms": [{"monomial": dict(mono), "coeff": rational_json(c)}
+                           for mono, c in piece.terms()]}
+                for k, piece in enumerate(cls.components()) if piece]

@@ -5,13 +5,14 @@ as sparse polynomials in a fixed set of graded symbols: divisor classes have
 degree 1, a Chern-class symbol ``c_i`` has degree ``i``.  Every term whose
 total symbol degree exceeds the ring's truncation bound is dropped at
 construction time, which realizes working modulo classes of codimension
-greater than ``m``.
+greater than ``m``.  That degree is a term's codimension.
 
 Coefficients are exact rationals: an ``int`` when integral, otherwise a
 :class:`fractions.Fraction` (the two compare and hash equal); floats are
 rejected so every identity holds exactly.  A ring may carry extra *formal*
-variables, degree-1 symbols exempt from truncation, which host intermediate
-divided-difference computations and never appear in results.
+variables, which count 0 towards the truncated degree (so no power of them
+truncates away), host intermediate divided-difference computations and
+never appear in results.
 
 A monomial is stored as its exponent vector packed into one integer of
 32-bit fields: field 0 holds the degree that truncation counts, field
@@ -46,7 +47,7 @@ class ContextError(ChowError):
 
 
 class NonUnitError(ChowError):
-    """Series inversion of a class whose constant term is not 1."""
+    """Division by a class that is not a unit: its constant term is not 1."""
 
 
 class SymbolError(ChowError):
@@ -86,13 +87,15 @@ class Symbol:
 class ChowRing:
     """A symbol table, a truncation bound and optional formal variables.
 
-    The bound is the dimension of the underlying variety.  Two rings are
+    The bound is the dimension of the underlying variety.  A term's
+    codimension is its truncated degree, field 0 of its packed key: the sum
+    of its symbols' degrees, with formal variables counting 0.  Two rings are
     interchangeable contexts exactly when their symbol tables, bounds and
     formal variables agree.
     """
 
     __slots__ = ("bound", "symbols", "formal", "_degrees", "_formal_set",
-                 "_shift", "_unit", "_guard", "_total_degree")
+                 "_shift", "_unit", "_guard")
 
     def __init__(self, symbols, bound, formal=()):
         if not isinstance(bound, int) or not 0 <= bound <= _MAX_EXP:
@@ -118,7 +121,6 @@ class ChowRing:
         self._unit = {name: (0 if name in self._formal_set else degrees[name])
                       + (1 << self._shift[name]) for name in order}
         self._guard = sum(1 << (self._shift[name] + _BITS - 1) for name in formal)
-        self._total_degree = self._formal_degree if formal else _FIELD.__and__
 
     def __eq__(self, other):
         if not isinstance(other, ChowRing):
@@ -219,12 +221,6 @@ class ChowRing:
             key >>= _BITS
         return tuple(mono)
 
-    def _formal_degree(self, key):
-        # total degree: formal variables have degree 1 but are not counted
-        # in field 0, which alone is the total degree in rings without them
-        return (key & _FIELD) + sum(key >> self._shift[name] & _FIELD
-                                    for name in self.formal)
-
     def _finish(self, terms):
         # drops zero terms and stores integral coefficients as int
         out = {}
@@ -235,6 +231,17 @@ class ChowRing:
         if self._guard and any(key & self._guard for key in out):
             raise ChowError(f"formal exponent above {_MAX_EXP}")
         return ChowPoly(self, out)
+
+
+def _split(terms, top):
+    """The term map split by degree: one map for each degree ``0..top``;
+    terms above ``top`` are dropped."""
+    pieces = [{} for _ in range(top + 1)]
+    for key, c in terms.items():
+        d = key & _FIELD
+        if d <= top:
+            pieces[d][key] = c
+    return pieces
 
 
 def _by_degree(terms, top):
@@ -301,15 +308,9 @@ def _divide_unit(num, tail, limit):
     turn.  The cost is one pass over the pairs of a quotient term and a tail
     term whose degree stays within ``limit``.
     """
-    buckets = [{} for _ in range(limit + 1)]
-    for key, c in num.items():
-        d = key & _FIELD
-        if d <= limit:
-            buckets[d][key] = c
-    groups = {}  # -tail, by degree
-    for key, c in tail.items():
-        groups.setdefault(key & _FIELD, []).append((key, -c))
-    negated = sorted(groups.items())
+    buckets = _split(num, limit)
+    negated = [(e, [(key, -c) for key, c in part.items()])
+               for e, part in enumerate(_split(tail, limit)) if part]
     out = {}
     for d, bucket in enumerate(buckets):
         room = limit - d
@@ -372,12 +373,8 @@ class ChowPoly:
         return any(self.ring.is_formal(n) for n in self.symbols_used())
 
     def is_homogeneous(self, degree=None):
-        degs = set(map(self.ring._total_degree, self._terms))
+        degs = {key & _FIELD for key in self._terms}
         return len(degs) <= 1 and (degree is None or degs <= {degree})
-
-    def total_degree(self):
-        """Largest total symbol degree present (0 for the zero class)."""
-        return max(map(self.ring._total_degree, self._terms), default=0)
 
     def coefficient(self, exponents):
         """Exact coefficient of the monomial given as ``{name: exp}``."""
@@ -470,24 +467,30 @@ class ChowPoly:
     # -- graded structure ---------------------------------------------
 
     def component(self, codim):
-        """The homogeneous piece of the given codimension.
+        """The homogeneous piece of the given codimension, the truncated
+        degree (formal variables count 0).
 
         The index must lie in ``[0, bound]``; anything else is a
         :class:`GradeError` rather than silently zero.
         """
         if not isinstance(codim, int) or codim < 0 or codim > self.ring.bound:
             raise GradeError(f"component index {codim} outside [0, {self.ring.bound}]")
-        ring = self.ring
-        return ChowPoly(ring, {key: c for key, c in self._terms.items()
-                               if ring._total_degree(key) == codim})
+        return ChowPoly(self.ring, {key: c for key, c in self._terms.items()
+                                    if key & _FIELD == codim})
+
+    def components(self):
+        """The homogeneous pieces of codimension ``0..bound``, from one pass;
+        codimension is the truncated degree (formal variables count 0), so
+        the pieces add up to the value."""
+        return [ChowPoly(self.ring, piece)
+                for piece in _split(self._terms, self.ring.bound)]
 
     def truncate(self, degree):
-        """Drop all terms of total degree above ``degree``."""
-        ring = self.ring
-        if degree >= ring.bound and not ring.formal:
+        """Drop all terms of codimension above ``degree``."""
+        if degree >= self.ring.bound:
             return self
-        return ChowPoly(ring, {key: c for key, c in self._terms.items()
-                               if ring._total_degree(key) <= degree})
+        return ChowPoly(self.ring, {key: c for key, c in self._terms.items()
+                                    if key & _FIELD <= degree})
 
     # -- formal-variable calculus ---------------------------------------
 
@@ -562,9 +565,9 @@ def expand_ratio(numerator, denominator):
         denominator = numerator.ring.const(denominator)
     numerator = denominator._coerce(numerator)
     if denominator.constant_term() != 1:
-        raise NonUnitError("series inversion requires constant term 1")
+        raise NonUnitError("division requires a denominator with constant term 1")
     if denominator.uses_formal():
-        raise SymbolError("series inversion is not available over formal variables")
+        raise SymbolError("division by a class in formal variables is not available")
     ring = numerator.ring
     tail = {key: c for key, c in denominator._terms.items() if key}
     return ChowPoly(ring, _divide_unit(numerator._terms, tail, ring.bound))

@@ -1,7 +1,8 @@
 """Properties of the ring core's fast paths: truncation-aware products,
 exact ``int``/``Fraction`` coefficients, the canonical term order, the
-synthetic division behind the divided-difference route and the exact
-division by units behind ``expand_ratio`` and ``ProjClass`` division."""
+synthetic division behind the divided-difference route, the exact
+division by units behind ``expand_ratio`` and ``ProjClass`` division, and
+the one notion of codimension, the truncated degree."""
 
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relchern import (ChowError, ChowRing, HypersurfaceSpec, NonUnitError,
-                      ProjClass, Symbol, alpha_class, expand_ratio)
+                      ProjClass, Symbol, alpha_class, class_to_json, expand_ratio)
 from relchern.pushforward import _exact_linear_quotient
 from tests.randgen import (random_bundle, random_form, random_poly,
                            random_rational, random_setup)
@@ -129,6 +130,8 @@ def test_truncated_projclass_product_equals_full_then_truncated(seed):
     assert product == reference_projclass_product(u, v)
     for a in product.coeffs:
         assert_exact(a)
+    zero = ProjClass.constant(bundle, 0)
+    assert (u * zero).is_zero() and (zero * v).is_zero()
 
 
 def test_formal_exponent_overflow_is_an_error():
@@ -239,3 +242,48 @@ def test_division_by_a_non_unit_or_zero():
         H / (H - H)
     assert (H / 2) * 2 == H
     assert ProjClass.constant(bundle, 2).inverse() == Fraction(1, 2)
+
+
+# -- codimension ----------------------------------------------------------
+
+
+def codimension(ring, mono):
+    # counted from the symbol table: formal variables count 0
+    return sum(e * ring.degree_of(n) for n, e in mono if not ring.is_formal(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(polys(), formal_polys()))
+def test_components_split_the_value_by_codimension(v):
+    ring = v.ring
+    pieces = v.components()
+    assert len(pieces) == ring.bound + 1
+    assert sum(pieces, ring.zero) == v
+    for k, piece in enumerate(pieces):
+        assert piece == v.component(k)
+        assert piece.is_homogeneous(k)
+        assert all(codimension(ring, mono) == k for mono, _ in piece.terms())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(polys(), formal_polys()))
+def test_json_lists_every_term_under_its_codimension(v):
+    listed = class_to_json(v)
+    assert sum(len(piece["terms"]) for piece in listed) == len(v.terms())
+    for piece in listed:
+        for term in piece["terms"]:
+            assert codimension(v.ring, term["monomial"].items()) == piece["codim"]
+
+
+def test_formal_variables_have_codimension_zero():
+    ring = ChowRing([Symbol("L")], 2, formal=("x",))
+    x, L = ring.sym("x"), ring.sym("L")
+    v = x ** 3 + L * x
+    assert v.component(0) == x ** 3 and v.component(1) == L * x
+    assert v.component(0) + v.component(1) + v.component(2) == v
+    assert v.truncate(0) == x ** 3 and v.truncate(2) == v
+    assert not v.is_homogeneous() and (x ** 3).is_homogeneous(0)
+    one = {"numerator": "1", "denominator": "1"}
+    assert class_to_json(v) == [
+        {"codim": 0, "terms": [{"monomial": {"x": 3}, "coeff": one}]},
+        {"codim": 1, "terms": [{"monomial": {"L": 1, "x": 1}, "coeff": one}]}]

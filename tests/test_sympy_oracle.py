@@ -1,4 +1,5 @@
-"""``expand_ratio`` against sympy's power series, on small random inputs.
+"""``expand_ratio`` against sympy's power series and ``divided_difference``
+against sympy's recursive quotient, on small random inputs.
 
 Sympy is a test-only oracle: the module is skipped where it is not
 installed, and the package never imports it.
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relchern import ChowRing, Symbol, expand_ratio
+from relchern import ChowRing, Symbol, divided_difference, expand_ratio
 from tests.randgen import random_rational
 
 sp = pytest.importorskip("sympy")
@@ -48,3 +49,26 @@ def test_expand_ratio_equals_the_truncated_sympy_series(seed, names):
                                                                    simultaneous=True)
     series = sp.series(ratio, t, 0, ring.bound + 1).removeO().subs(t, 1)
     assert sp.expand(series - to_sympy(expand_ratio(num, den), symbols)) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 3))
+def test_divided_difference_equals_the_sympy_quotient(seed, count):
+    rng = random.Random(seed)
+    points = [f"x{i}" for i in range(1, count + 1)]
+    ring = ChowRing([Symbol("L"), Symbol("M")], rng.randint(0, 3), formal=points)
+    coeffs = [random_class(rng, ring, ("L", "M")) for _ in range(rng.randint(1, 6))]
+    symbols = {n: sp.Symbol(n) for n in ("L", "M", *points)}
+    t = sp.Symbol("t")
+    g = sum((to_sympy(c, symbols) * t ** k for k, c in enumerate(coeffs)),
+            sp.Integer(0))
+
+    def quotient(xs):
+        # g[x0, ..., xn] = (g[x0, ..., x(n-1)] - g[x1, ..., xn]) / (x0 - xn)
+        if len(xs) == 1:
+            return g.subs(t, xs[0])
+        return sp.cancel((quotient(xs[:-1]) - quotient(xs[1:])) / (xs[0] - xs[-1]))
+
+    expected = quotient([symbols[n] for n in points])
+    result = divided_difference(coeffs, points, ring)
+    assert sp.expand(expected - to_sympy(result, symbols)) == 0
