@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 
-from .ring import ChowError, ChowRing, Symbol, SymbolError
+from .ring import ChowError, ChowRing, Symbol, SymbolError, _is_int
 
 
 class SpecializationError(ChowError):
@@ -36,7 +36,7 @@ class FormalBase:
     """
 
     def __init__(self, dim, divisors=("L",), fano=False):
-        if not isinstance(dim, int) or dim < 0:
+        if not _is_int(dim) or dim < 0:
             raise ValueError("base dimension must be a nonnegative integer")
         symbols = [Symbol(f"c{i}", i) for i in range(1, dim + 1)]
         symbols += [Symbol(name, 1) for name in divisors]
@@ -87,9 +87,9 @@ class ProjectiveSpaceBase:
     """
 
     def __init__(self, dim, multiple=None, divisor="L"):
-        if not isinstance(dim, int) or dim < 0:
+        if not _is_int(dim) or dim < 0:
             raise ValueError("base dimension must be a nonnegative integer")
-        if multiple is not None and not isinstance(multiple, int):
+        if multiple is not None and not _is_int(multiple):
             raise ValueError("divisor multiple must be an integer")
         self.dim = dim
         self.multiple = multiple

@@ -32,7 +32,7 @@ from .fibration import (FermatFamily, HypersurfaceSpec, UnsupportedDegreeError,
                         smooth_hypersurface_euler, svw_components)
 from .pushforward import ProjClass, normalize_twist, pushforward_series
 from .render import all_digits, class_to_json, to_latex, to_text
-from .ring import ChowError
+from .ring import ChowError, _is_int
 
 COMMANDS = ("push", "euler", "svw", "qclass", "csm-check", "epoly")
 
@@ -66,8 +66,7 @@ def _require(condition, message):
 
 
 def _as_int(value, what, minimum=None):
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{what} must be an integer")
+    _require(_is_int(value), f"{what} must be an integer")
     if minimum is not None:
         _require(value >= minimum, f"{what} must be at least {minimum}")
     return value

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
 from .pushforward import (BundleSpec, ProjClass, normalize_twist,
                           pushforward_closed_form, pushforward_series)
-from .ring import ChowError, ChowPoly, ContextError
+from .ring import ChowError, ChowPoly, ContextError, _is_int
 
 
 class UnsupportedDegreeError(ChowError):
@@ -37,7 +37,7 @@ class HypersurfaceSpec:
     __slots__ = ("degree", "beta", "bundle")
 
     def __init__(self, degree, beta, bundle):
-        if not isinstance(degree, int) or degree < 0:
+        if not _is_int(degree) or degree < 0:
             raise ValueError("hypersurface degree must be a nonnegative integer")
         if not isinstance(bundle, BundleSpec):
             raise TypeError("bundle must be a BundleSpec")
@@ -96,9 +96,12 @@ def q_class(hyp):
 
 
 def q_class_display(hyp):
-    """``Q`` again, through the divided-difference route
-    (:func:`pushforward_closed_form`); must equal :func:`q_class`."""
-    return pushforward_closed_form(alpha_class(hyp))
+    """``Q`` again, by a route independent of :func:`q_class`: the class is
+    first reduced by the Grothendieck relation (:meth:`ProjClass.reduce`)
+    to at most ``rank`` coefficients, then pushed by
+    :func:`pushforward_closed_form`, which on a reduced class packs the one
+    ``H**(rank-1)`` coefficient; must equal :func:`q_class`."""
+    return pushforward_closed_form(alpha_class(hyp).reduce())
 
 
 def relative_chern_class(hyp, base):
@@ -146,9 +149,9 @@ def svw_components(hyp, base):
 def smooth_hypersurface_euler(n, d):
     """Euler characteristic of a smooth degree-``d`` hypersurface in
     projective ``n``-space, as an exact integer."""
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError("ambient projective dimension must be a nonnegative integer")
-    if not isinstance(d, int) or d < 0:
+    if not _is_int(d) or d < 0:
         raise ValueError("hypersurface degree must be a nonnegative integer")
     return -sum(math.comb(n + 1, k) * (-d) ** (n - k) for k in range(n))
 
@@ -193,11 +196,11 @@ class FermatFamily:
     divisor: str = "L"
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError("fiber dimension n must be a positive integer")
-        if not isinstance(self.degree, int) or self.degree < 2:
+        if not _is_int(self.degree) or self.degree < 2:
             raise UnsupportedDegreeError("the family needs degree at least 2")
-        if not isinstance(self.base_dim, int) or self.base_dim < 0:
+        if not _is_int(self.base_dim) or self.base_dim < 0:
             raise ValueError("base dimension must be a nonnegative integer")
 
     def formal_base(self):

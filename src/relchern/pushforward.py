@@ -5,15 +5,18 @@ root is zero (:func:`normalize_twist` arranges this); classes on the bundle's
 projectivization are polynomials in the hyperplane class ``H`` with base
 coefficients (:class:`ProjClass`).
 
-Two mathematically independent evaluations of the pushforward are provided.
-The series route applies the projection formula monomial by monomial:
-``H**(r-1+k)`` pushes to the codimension-``k`` part of the inverse total
-Chern class of the bundle.  The closed-form route assembles a single
+Three mathematically independent evaluations of the pushforward are
+provided.  The series route applies the projection formula monomial by
+monomial: ``H**(r-1+k)`` pushes to the codimension-``k`` part of the inverse
+total Chern class of the bundle.  The closed-form route assembles a single
 polynomial from the coefficients, takes an exact Newton divided difference
 over one formal variable per distinct nonzero root, applies a normalized
 multi-derivative operator for repeated roots and substitutes the negated
-roots.  The two agree identically, so comparing them is a strong correctness
-check on either.
+roots.  The reduction route rewrites a class by the Grothendieck relation
+``H**r + c_1(E) H**(r-1) + ... + c_r(E) = 0`` until it has at most ``r``
+coefficients (:meth:`ProjClass.reduce`); its ``H**(r-1)`` coefficient is
+the pushforward.  The three agree identically, so comparing them is a
+strong correctness check on each.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 
 from .ring import (ChowError, ChowPoly, ContextError, Fraction, NonUnitError,
-                   _by_degree, _coerced, _divide_unit, _mul_into,
+                   _by_degree, _coerced, _divide_unit, _is_int, _mul_into,
                    _nonzero_rational, _power, expand_ratio)
 
 
@@ -38,7 +41,7 @@ def _root_entries(roots):
             form, mult = item
         if not isinstance(form, ChowPoly):
             raise BundleError("each Chern root must be a class (use ring.zero for 0)")
-        if not isinstance(mult, int) or mult < 1:
+        if not _is_int(mult) or mult < 1:
             raise BundleError("root multiplicity must be a positive integer")
         entries.append((form, mult))
     if not entries:
@@ -131,12 +134,23 @@ class ProjClass:
 
     def __init__(self, bundle, coeffs):
         dmax = bundle.ambient_dim
-        cleaned = [bundle.ring.convert(a).truncate(dmax - j)
-                   for j, a in zip(range(dmax + 1), coeffs)]
-        while cleaned and cleaned[-1].is_zero():
-            cleaned.pop()
+        self._store(bundle, [bundle.ring.convert(a).truncate(dmax - j)
+                             for j, a in zip(range(dmax + 1), coeffs)])
+
+    def _store(self, bundle, coeffs):
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
         self.bundle = bundle
-        self.coeffs = tuple(cleaned)
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _normalized(cls, bundle, coeffs):
+        # a list of classes of the base ring, at most ambient_dim + 1 long,
+        # whose H^j coefficient has codimension <= ambient_dim - j already;
+        # only the trailing zeros are dropped
+        out = object.__new__(cls)
+        out._store(bundle, coeffs)
+        return out
 
     @classmethod
     def constant(cls, bundle, value):
@@ -175,13 +189,13 @@ class ProjClass:
     @_coerced
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
-        return ProjClass(self.bundle,
-                         [self.coeff(j) + other.coeff(j) for j in range(n)])
+        return ProjClass._normalized(
+            self.bundle, [self.coeff(j) + other.coeff(j) for j in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ProjClass(self.bundle, [-a for a in self.coeffs])
+        return ProjClass._normalized(self.bundle, [-a for a in self.coeffs])
 
     @_coerced
     def __sub__(self, other):
@@ -203,7 +217,8 @@ class ProjClass:
             for j, b in enumerate(right[:dmax + 1 - i]):
                 # the H^(i+j) coefficient keeps codimension <= dmax - i - j
                 _mul_into(out[i + j], a._terms, b, min(ring.bound, dmax - i - j))
-        return ProjClass(self.bundle, [ring._finish(terms) for terms in out])
+        return ProjClass._normalized(self.bundle,
+                                     [ring._finish(terms) for terms in out])
 
     __rmul__ = __mul__
 
@@ -244,7 +259,8 @@ class ProjClass:
                     break
                 _mul_into(num, quotient[n - k], u, limit)
             quotient.append(_divide_unit(num, tail, limit))
-        return ProjClass(self.bundle, [ChowPoly(ring, z) for z in quotient])
+        return ProjClass._normalized(self.bundle,
+                                     [ChowPoly(ring, z) for z in quotient])
 
     @_coerced
     def __rtruediv__(self, other):
@@ -264,6 +280,31 @@ class ProjClass:
         for a in reversed(self.coeffs):
             out = out * x + a
         return out
+
+    def reduce(self):
+        """The same class in the Chow ring of the projectivization, written
+        with at most ``rank`` coefficients.
+
+        The Grothendieck relation ``H**r + c_1(E) H**(r-1) + ... + c_r(E) = 0``
+        rewrites ``H**n`` for each ``n >= r``, from the top down, as
+        ``-sum_k c_k(E) H**(n-k)``.  The pushforward of the result is its
+        ``H**(r-1)`` coefficient, as the lower powers push to zero.
+        """
+        bundle = self.bundle
+        ring = bundle.ring
+        rank = bundle.rank
+        chern = bundle.total_chern().components()[1:rank + 1]
+        negated = [(k, _by_degree({key: -c for key, c in ck._terms.items()},
+                                  ring.bound))
+                   for k, ck in enumerate(chern, 1) if ck]
+        out = [dict(a._terms) for a in self.coeffs]
+        for n in range(len(out) - 1, rank - 1, -1):
+            for k, ck in negated:
+                # codimension <= ambient_dim - n in H^n, times c_k, stays
+                # within the room of H^(n-k), so only the base bound truncates
+                _mul_into(out[n - k], out[n], ck, ring.bound)
+        return ProjClass._normalized(bundle,
+                                     [ring._finish(terms) for terms in out[:rank]])
 
     def __str__(self):
         parts = []
@@ -310,7 +351,7 @@ def pushforward_power(bundle, exponent):
     inverse total Chern class; powers below the fiber dimension (and
     components beyond the base dimension) vanish.
     """
-    if not isinstance(exponent, int) or exponent < 0:
+    if not _is_int(exponent) or exponent < 0:
         raise ValueError("exponent must be a nonnegative integer")
     k = exponent - bundle.fiber_dim
     if k < 0 or k > bundle.ring.bound:

@@ -61,6 +61,11 @@ class GradeError(ChowError):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+def _is_int(value):
+    """An ``int`` that is not a ``bool``, as every integer argument must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rational(value):
     # floats are banned: exactness is the whole point
     if isinstance(value, int):
@@ -80,7 +85,7 @@ class Symbol:
     def __post_init__(self):
         if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
             raise SymbolError(f"invalid symbol name {self.name!r}")
-        if not isinstance(self.degree, int) or self.degree < 1:
+        if not _is_int(self.degree) or self.degree < 1:
             raise SymbolError("symbol degree must be a positive integer")
 
 
@@ -98,7 +103,7 @@ class ChowRing:
                  "_shift", "_unit", "_guard")
 
     def __init__(self, symbols, bound, formal=()):
-        if not isinstance(bound, int) or not 0 <= bound <= _MAX_EXP:
+        if not _is_int(bound) or not 0 <= bound <= _MAX_EXP:
             raise GradeError(f"truncation bound must be an integer in [0, {_MAX_EXP}]")
         syms = [s if isinstance(s, Symbol) else Symbol(*s) for s in symbols]
         syms.sort(key=lambda s: (s.degree, s.name))
@@ -286,7 +291,7 @@ def _nonzero_rational(value):
 
 def _power(base, exponent, one):
     """``base ** exponent`` by square-and-multiply."""
-    if not isinstance(exponent, int) or exponent < 0:
+    if not _is_int(exponent) or exponent < 0:
         raise ValueError("exponent must be a nonnegative integer")
     result = one
     while exponent:
@@ -378,7 +383,10 @@ class ChowPoly:
 
     def coefficient(self, exponents):
         """Exact coefficient of the monomial given as ``{name: exp}``."""
-        mono = tuple((n, e) for n, e in dict(exponents).items() if e)
+        exponents = dict(exponents)
+        for name in exponents:
+            self.ring.degree_of(name)  # an unknown name is a SymbolError
+        mono = tuple((n, e) for n, e in exponents.items() if e)
         if not all(0 < e <= _MAX_EXP for _, e in mono):
             return 0
         key = self.ring._from_monomials({mono: 1})._terms
@@ -473,7 +481,7 @@ class ChowPoly:
         The index must lie in ``[0, bound]``; anything else is a
         :class:`GradeError` rather than silently zero.
         """
-        if not isinstance(codim, int) or codim < 0 or codim > self.ring.bound:
+        if not _is_int(codim) or codim < 0 or codim > self.ring.bound:
             raise GradeError(f"component index {codim} outside [0, {self.ring.bound}]")
         return ChowPoly(self.ring, {key: c for key, c in self._terms.items()
                                     if key & _FIELD == codim})

@@ -103,6 +103,11 @@ def test_base_equality_and_validation():
         FormalBase(-1)
     with pytest.raises(ValueError):
         ProjectiveSpaceBase(2, multiple=1.5)
+    # a bool is not an integer argument
+    for make in (lambda: FormalBase(True), lambda: ProjectiveSpaceBase(True),
+                 lambda: ProjectiveSpaceBase(2, multiple=True)):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_zero_dimensional_point():

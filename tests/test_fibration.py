@@ -1,5 +1,6 @@
 """Hypersurface fibrations: Q classes, Euler characteristics, strata."""
 
+import itertools
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from relchern import (BundleSpec, ChowRing, ContextError, FermatFamily,
                       FormalBase, HypersurfaceSpec, ModeError, ProjClass,
                       ProjectiveSpaceBase, Symbol, UnsupportedDegreeError,
                       alpha_class, euler_characteristic, expand_ratio,
-                      q_class, q_class_display, relative_chern_class,
+                      pushforward_closed_form, pushforward_series, q_class,
+                      q_class_display, relative_chern_class,
                       smooth_hypersurface_euler, specialize, svw_components)
+from tests import golden_cases
 
 
 def weierstrass(base):
@@ -38,6 +41,8 @@ def test_hypersurface_validation():
     bundle = BundleSpec([ring.zero, 2 * L])
     with pytest.raises(ValueError):
         HypersurfaceSpec(-1, L, bundle)
+    with pytest.raises(ValueError):
+        HypersurfaceSpec(True, L, bundle)  # a bool is not a degree
     with pytest.raises(ValueError):
         HypersurfaceSpec(2, L ** 2, bundle)  # beta must be a divisor
     hyp = HypersurfaceSpec(2, L, bundle)
@@ -141,6 +146,9 @@ def test_smooth_hypersurface_euler_table():
     assert smooth_hypersurface_euler(4, 5) == -200  # quintic threefold
     with pytest.raises(ValueError):
         smooth_hypersurface_euler(-1, 3)
+    for n, d in ((True, 2), (2, True), (False, 2)):
+        with pytest.raises(ValueError):
+            smooth_hypersurface_euler(n, d)
 
 
 # -- relative Chern class ----------------------------------------------------
@@ -336,6 +344,12 @@ def test_family_rejects_low_degree():
         FermatFamily(3, 1)
     with pytest.raises(UnsupportedDegreeError):
         FermatFamily(2, 0)
+    with pytest.raises(UnsupportedDegreeError):
+        FermatFamily(2, True)
+    with pytest.raises(ValueError):
+        FermatFamily(True, 2)
+    with pytest.raises(ValueError):
+        FermatFamily(2, 3, base_dim=True)
     # the plain pushforward route still supports low degrees
     base = FormalBase(2)
     L = base.ring.sym("L")
@@ -348,6 +362,52 @@ def test_family_base_dimension_must_agree():
     fam = FermatFamily(2, 3, base_dim=2)
     with pytest.raises(ContextError):
         fam.hypersurface(FormalBase(3))
+
+
+def euler_on_the_projectivization(hyp, base):
+    """chi integrated on P(E) itself, with no pushforward formula: c(X) times
+    alpha, reduced by the Grothendieck relation, has its top class
+    ``h^k H^(r-1)`` in the ``H^(r-1)`` coefficient, and that class has
+    degree 1."""
+    bundle = hyp.bundle
+    total = ProjClass.from_base(bundle, base.chern_polynomial()) * alpha_class(hyp)
+    return base.integrate(total.reduce().coeff(bundle.fiber_dim))
+
+
+def test_integer_oracle_on_the_projectivization():
+    hyp3, p3 = weierstrass_over_projective(3, 4)
+    assert euler_on_the_projectivization(hyp3, p3) == 23328
+    hyp2, p2 = weierstrass_over_projective(2, 3)
+    assert euler_on_the_projectivization(hyp2, p2) == -540
+    for n, d, dim in itertools.product(range(2, 5), range(2, 5), range(1, 4)):
+        base = ProjectiveSpaceBase(dim)
+        hyp = FermatFamily(n, d, base_dim=dim, divisor="h").hypersurface(base)
+        assert euler_on_the_projectivization(hyp, base) == \
+            euler_characteristic(hyp, base), (n, d, dim)
+
+
+def test_three_routes_agree_on_anchors_and_the_fermat_grid():
+    cases = [(case_id, hyp) for case_id, _, hyp in golden_cases.anchors()]
+    for n, d, dim in itertools.product(range(2, 5), range(2, 5), range(1, 5)):
+        fam = FermatFamily(n, d, base_dim=dim)
+        cases.append(((n, d, dim), fam.hypersurface()))
+    for label, hyp in cases:
+        reduced = alpha_class(hyp).reduce()
+        q = q_class(hyp)
+        assert len(reduced.coeffs) <= hyp.bundle.rank, label
+        assert reduced.coeff(hyp.bundle.fiber_dim) == q, label
+        assert pushforward_closed_form(reduced) == q, label
+        assert q_class_display(hyp) == q, label
+
+
+def test_reduced_alpha_has_width_rank_at_high_dimension():
+    for dim in (7, 60, 200):
+        base = FormalBase(dim)
+        hyp = weierstrass(base)
+        alpha = alpha_class(hyp)
+        reduced = alpha.reduce()
+        assert len(alpha.coeffs) == dim + 3 and len(reduced.coeffs) == 3, dim
+        assert reduced.coeff(2) == pushforward_series(alpha), dim
 
 
 def test_family_cy_degree_matches_weierstrass_numbers():

@@ -1,4 +1,4 @@
-"""Pushforward from a projective bundle by two independent routes."""
+"""Pushforward from a projective bundle by three independent routes."""
 
 import itertools
 import random
@@ -53,6 +53,8 @@ def test_bundle_rejects_bad_roots():
         BundleSpec([ring.zero, 1 + L])  # inhomogeneous
     with pytest.raises(BundleError):
         BundleSpec([ring.zero])  # rank 1
+    with pytest.raises(BundleError):
+        BundleSpec([(ring.zero, True), (L, 2)])  # a bool is not a multiplicity
     formal = ring.with_formal(["x"])
     with pytest.raises(BundleError):
         BundleSpec([formal.zero, formal.sym("L")])
@@ -120,6 +122,8 @@ def test_pushforward_power_low_exponents_vanish():
             assert pushforward_power(bundle, j) == 0
         with pytest.raises(ValueError):
             pushforward_power(bundle, -1)
+        with pytest.raises(ValueError):
+            pushforward_power(bundle, True)
 
 
 def test_pushforward_power_examples():
@@ -268,6 +272,48 @@ def test_route_equivalence_randomized():
         series = pushforward_series(cls)
         closed = pushforward_closed_form(cls)
         assert series == closed, (trial, bundle, cls)
+
+
+# -- the reduction route ---------------------------------------------------
+
+
+def grothendieck_relation(bundle):
+    """``H**r + c_1(E) H**(r-1) + ... + c_r(E)``, zero on the projectivization."""
+    chern = bundle.total_chern().components()
+    r = bundle.rank
+    return ProjClass(bundle, [chern[r - j] if r - j < len(chern) else 0
+                              for j in range(r + 1)])
+
+
+def assert_reduction_route(cls, label):
+    bundle = cls.bundle
+    reduced = cls.reduce()
+    series = pushforward_series(cls)
+    assert len(reduced.coeffs) <= bundle.rank, label
+    assert reduced.reduce() == reduced, label
+    assert pushforward_series(reduced) == series, label
+    assert pushforward_closed_form(reduced) == series, label
+    assert reduced.coeff(bundle.fiber_dim) == series, label
+
+
+def test_three_routes_agree_on_the_acceptance_suite():
+    # the instances of acceptance criterion 5, drawn in the same order
+    rng = random.Random(1123581321)
+    for trial in range(210):
+        bundle = random_bundle(rng, random_base(rng))
+        cls = random_proj_class(rng, bundle)
+        assert_reduction_route(cls, (trial, bundle, cls))
+
+
+def test_reduction_kills_the_grothendieck_relation():
+    rng = random.Random(97)
+    for trial in range(60):
+        _, bundle, cls = random_setup(rng)
+        relation = grothendieck_relation(bundle)
+        assert relation.reduce().is_zero(), trial
+        other = random_proj_class(rng, bundle)
+        assert (relation * other).reduce().is_zero(), trial
+        assert (cls + relation * other).reduce() == cls.reduce(), trial
 
 
 def test_series_matches_per_power_reference():

@@ -19,7 +19,11 @@ def test_symbol_validation():
         Symbol("2bad")
     with pytest.raises(SymbolError):
         Symbol("c", 0)
+    with pytest.raises(SymbolError):
+        Symbol("c", True)  # a bool is not a degree
     assert Symbol("c2", 2).degree == 2
+    with pytest.raises(GradeError):
+        ChowRing([Symbol("L")], True)
 
 
 def test_ring_rejects_duplicate_names():
@@ -136,6 +140,10 @@ def test_component_examples():
         p.component(4)
     with pytest.raises(GradeError):
         p.component(-1)
+    with pytest.raises(GradeError):
+        p.component(True)
+    with pytest.raises(ValueError):
+        L ** True
 
 
 def test_string_rendering_is_canonical():
@@ -235,3 +243,12 @@ def test_convert_between_contexts():
     clash = ChowRing([Symbol("L", 2)], 4)
     with pytest.raises(ContextError):
         clash.convert(p)
+
+
+def test_coefficient_of_an_unknown_symbol_is_a_symbol_error():
+    ring = ring_L(2)
+    L = ring.sym("L")
+    assert (3 * L).coefficient({"L": 1}) == 3
+    for exponents in ({"Z": 1}, {"L": 1, "Z": 1}, {"Z": 0}):
+        with pytest.raises(SymbolError):
+            L.coefficient(exponents)

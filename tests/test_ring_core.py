@@ -1,8 +1,9 @@
 """Properties of the ring core's fast paths: truncation-aware products,
 exact ``int``/``Fraction`` coefficients, the canonical term order, the
 synthetic division behind the divided-difference route, the exact
-division by units behind ``expand_ratio`` and ``ProjClass`` division, and
-the one notion of codimension, the truncated degree."""
+division by units behind ``expand_ratio`` and ``ProjClass`` division, the
+reduction by the Grothendieck relation, and the one notion of codimension,
+the truncated degree."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relchern import (ChowError, ChowRing, HypersurfaceSpec, NonUnitError,
-                      ProjClass, Symbol, alpha_class, class_to_json, expand_ratio)
+                      ProjClass, Symbol, alpha_class, class_to_json, expand_ratio,
+                      pushforward_closed_form, pushforward_series)
 from relchern.pushforward import _exact_linear_quotient
 from tests.randgen import (random_bundle, random_form, random_poly,
                            random_rational, random_setup)
@@ -208,6 +210,27 @@ def test_alpha_class_matches_the_geometric_series(seed):
         chern = chern * (one + H + ProjClass.from_base(bundle, form)) ** mult
     y = hyp.divisor_class()
     assert alpha_class(hyp) == chern * y * reference_inverse(1 + y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_reduction_is_a_ring_map_onto_width_rank(seed):
+    # reduction by the Grothendieck relation keeps the pushforward and
+    # respects sums and products; v has non-integral coefficients
+    rng = random.Random(seed)
+    _, bundle, u = random_setup(rng)
+    v = random_unit(rng, bundle) * random_rational(rng)
+    for value in (u, v, u * v, u + v):
+        reduced = value.reduce()
+        series = pushforward_series(value)
+        assert len(reduced.coeffs) <= bundle.rank
+        assert reduced.reduce() == reduced
+        assert reduced.coeff(bundle.fiber_dim) == series
+        assert pushforward_closed_form(reduced) == series
+        for c in reduced.coeffs:
+            assert_exact(c)
+    assert (u + v).reduce() == u.reduce() + v.reduce()
+    assert (u * v).reduce() == (u.reduce() * v.reduce()).reduce()
 
 
 @settings(max_examples=80, deadline=None)
