@@ -69,7 +69,7 @@ def _latex_coeff(q):
 
 
 def to_latex(cls):
-    return format_terms(cls.terms(), _latex_coeff, _latex_power, " ")
+    return format_terms(cls._canonical()[1], _latex_coeff, _latex_power, " ")
 
 
 def rational_json(q):
@@ -84,8 +84,9 @@ def class_to_json(cls):
     order; numerators and denominators are decimal strings so arbitrary
     precision survives any JSON reader.
     """
+    pieces = {}
     with all_digits():
-        return [{"codim": k,
-                 "terms": [{"monomial": dict(mono), "coeff": rational_json(c)}
-                           for mono, c in piece.terms()]}
-                for k, piece in enumerate(cls.components()) if piece]
+        for k, (mono, c) in zip(*cls._canonical()):
+            pieces.setdefault(k, []).append({"monomial": dict(mono),
+                                             "coeff": rational_json(c)})
+    return [{"codim": k, "terms": pieces[k]} for k in sorted(pieces)]

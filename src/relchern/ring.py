@@ -68,7 +68,7 @@ def _is_int(value):
 
 def _rational(value):
     # floats are banned: exactness is the whole point
-    if isinstance(value, int):
+    if _is_int(value):
         return int(value)
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
@@ -100,7 +100,7 @@ class ChowRing:
     """
 
     __slots__ = ("bound", "symbols", "formal", "_degrees", "_formal_set",
-                 "_shift", "_unit", "_guard")
+                 "_shift", "_unit", "_guard", "_factors")
 
     def __init__(self, symbols, bound, formal=()):
         if not _is_int(bound) or not 0 <= bound <= _MAX_EXP:
@@ -126,6 +126,7 @@ class ChowRing:
         self._unit = {name: (0 if name in self._formal_set else degrees[name])
                       + (1 << self._shift[name]) for name in order}
         self._guard = sum(1 << (self._shift[name] + _BITS - 1) for name in formal)
+        self._factors = {}  # (name, exp) -> one shared tuple, see _decode
 
     def __eq__(self, other):
         if not isinstance(other, ChowRing):
@@ -200,7 +201,7 @@ class ChowRing:
                 raise SymbolError(f"symbol {name!r} does not exist in the target ring")
             if self._degrees[name] != src._degrees[name]:
                 raise ContextError(f"symbol {name!r} changes degree between rings")
-        return self._from_monomials({src._monomial(key): c
+        return self._from_monomials({src._decode(key)[1]: c
                                      for key, c in value._terms.items()})
 
     # -- monomials -----------------------------------------------------
@@ -214,17 +215,25 @@ class ChowRing:
                 out[sum(e * self._unit[n] for n, e in mono)] = c
         return self._finish(out)
 
-    def _monomial(self, key):
-        """``((name, exp), ...)`` of a packed key, in canonical order."""
+    def _decode(self, key):
+        """``(rank, ((name, exp), ...))`` of a packed key.  Ranks sort keys in
+        canonical order: total degree, then exponents in field order, larger first.
+        Equal factors share one tuple, since values keep their decoded terms."""
         mono = []
+        degree = rank = 0
+        top = _BITS * len(self._shift)
         key >>= _BITS
-        for name in self._shift:
+        for name, shift in self._shift.items():
             if not key:
                 break
-            if key & _FIELD:
-                mono.append((name, key & _FIELD))
+            e = key & _FIELD
+            if e:
+                degree += e * self._degrees[name]
+                rank -= e << (top - shift)
+                factor = (name, e)
+                mono.append(self._factors.setdefault(factor, factor))
             key >>= _BITS
-        return tuple(mono)
+        return (degree, rank), tuple(mono)
 
     def _finish(self, terms):
         # drops zero terms and stores integral coefficients as int
@@ -344,14 +353,18 @@ class ChowPoly:
     a nonzero rational constant (exact scalar division) or a class with
     constant term 1 (exact division by a unit, see :func:`expand_ratio`);
     anything else raises :class:`NonUnitError`.
+
+    A value never changes once built: its canonical term list and graded
+    pieces are computed at most once, on first use, and callers get copies.
     """
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_canon", "_pieces")
 
     def __init__(self, ring, terms):
         # internal: ``terms`` maps packed monomial keys to nonzero coefficients
         self.ring = ring
         self._terms = terms
+        self._canon = self._pieces = None
 
     # -- inspection -----------------------------------------------------
 
@@ -394,14 +407,15 @@ class ChowPoly:
 
     def terms(self):
         """Terms as ``(monomial, coefficient)`` pairs in canonical order."""
-        ring = self.ring
-        items = [(ring._monomial(key), c) for key, c in self._terms.items()]
-        # by total degree, then by the expanded symbol sequence, each symbol
-        # compared by (degree, name): at equal total degree, (field, -exp)
-        # pairs compare the same way
-        items.sort(key=lambda mc: (sum(e * ring._degrees[n] for n, e in mc[0]),
-                                   [(ring._shift[n], -e) for n, e in mc[0]]))
-        return items
+        return list(self._canonical()[1])
+
+    def _canonical(self):
+        """``(codims, terms)``: :meth:`terms` sorted once, and field 0 of each key."""
+        if self._canon is None:
+            items = sorted(self.ring._decode(key) + (key & _FIELD, c)
+                           for key, c in self._terms.items())
+            self._canon = ([t[2] for t in items], [(t[1], t[3]) for t in items])
+        return self._canon
 
     # -- arithmetic -------------------------------------------------------
 
@@ -466,7 +480,7 @@ class ChowPoly:
         return other.__truediv__(self)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_int(other) or isinstance(other, Fraction):
             other = self.ring.const(other)
         if not isinstance(other, ChowPoly):
             return NotImplemented
@@ -483,15 +497,15 @@ class ChowPoly:
         """
         if not _is_int(codim) or codim < 0 or codim > self.ring.bound:
             raise GradeError(f"component index {codim} outside [0, {self.ring.bound}]")
-        return ChowPoly(self.ring, {key: c for key, c in self._terms.items()
-                                    if key & _FIELD == codim})
+        return (self._pieces or self.components())[codim]
 
     def components(self):
-        """The homogeneous pieces of codimension ``0..bound``, from one pass;
-        codimension is the truncated degree (formal variables count 0), so
-        the pieces add up to the value."""
-        return [ChowPoly(self.ring, piece)
-                for piece in _split(self._terms, self.ring.bound)]
+        """The homogeneous pieces of codimension ``0..bound``, adding up to the
+        value; codimension is the truncated degree (formal variables count 0)."""
+        if self._pieces is None:
+            self._pieces = [ChowPoly(self.ring, piece)
+                            for piece in _split(self._terms, self.ring.bound)]
+        return list(self._pieces)
 
     def truncate(self, degree):
         """Drop all terms of codimension above ``degree``."""
@@ -544,7 +558,7 @@ class ChowPoly:
         out = target.zero
         for key, c in self._terms.items():
             term = target.const(c)
-            for name, e in self.ring._monomial(key):
+            for name, e in self.ring._decode(key)[1]:
                 value = mapping.get(name)
                 value = target.sym(name) if value is None else target.convert(value)
                 term = term * value ** e
@@ -554,7 +568,7 @@ class ChowPoly:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        return format_terms(self.terms(), str,
+        return format_terms(self._canonical()[1], str,
                             lambda n, e: n if e == 1 else f"{n}^{e}", "*")
 
     def __repr__(self):

@@ -94,6 +94,20 @@ def test_float_rejection():
         ring.sym("L") * 0.5
 
 
+def test_bool_rejection():
+    # a bool is an int to Python, but never an exact rational here
+    ring, L = ring_L(2), ring_L(2).sym("L")
+    with pytest.raises(TypeError):
+        ring.const(True)
+    with pytest.raises(TypeError):
+        ring.linear({"L": True})
+    with pytest.raises(TypeError):
+        L * True
+    with pytest.raises(TypeError):
+        L / True
+    assert (ring.one == True) is False  # noqa: E712
+
+
 def test_derivative_examples():
     ring = ring_L(3).with_formal(["x"])
     x, L = ring.sym("x"), ring.sym("L")

@@ -2,20 +2,22 @@
 exact ``int``/``Fraction`` coefficients, the canonical term order, the
 synthetic division behind the divided-difference route, the exact
 division by units behind ``expand_ratio`` and ``ProjClass`` division, the
-reduction by the Grothendieck relation, and the one notion of codimension,
-the truncated degree."""
+reduction by the Grothendieck relation, the one notion of codimension,
+the truncated degree, and the terms and pieces each value computes once."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relchern import (ChowError, ChowRing, HypersurfaceSpec, NonUnitError,
-                      ProjClass, Symbol, alpha_class, class_to_json, expand_ratio,
-                      pushforward_closed_form, pushforward_series)
+from relchern import (ChowError, ChowPoly, ChowRing, HypersurfaceSpec,
+                      NonUnitError, ProjClass, Symbol, alpha_class, class_to_json,
+                      expand_ratio, pushforward_closed_form, pushforward_series,
+                      to_latex)
 from relchern.pushforward import _exact_linear_quotient
+from relchern.render import rational_json
 from tests.randgen import (random_bundle, random_form, random_poly,
                            random_rational, random_setup)
 
@@ -310,3 +312,44 @@ def test_formal_variables_have_codimension_zero():
     assert class_to_json(v) == [
         {"codim": 0, "terms": [{"monomial": {"x": 3}, "coeff": one}]},
         {"codim": 1, "terms": [{"monomial": {"L": 1, "x": 1}, "coeff": one}]}]
+
+
+# -- decoded terms and graded pieces, computed once per value ---------------
+
+
+def views(v):
+    """Every answer read from a value's decoded terms or graded pieces."""
+    return (v.terms(), str(v), to_latex(v), class_to_json(v), v.components(),
+            [v.component(k) for k in range(v.ring.bound + 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(polys(), formal_polys()), st.booleans())
+def test_views_repeat_and_hand_out_private_lists(v, piece_first):
+    fresh = ChowPoly(v.ring, dict(v._terms))
+    if piece_first:
+        v.component(v.ring.bound)  # fills the pieces before components()
+    first = views(v)
+    for handed_out in (v.terms(), v.components()):
+        handed_out.reverse()
+        handed_out.append(None)
+    assert views(v) == first == views(fresh)
+
+
+def per_piece_json(v):
+    # the construction class_to_json replaced: the canonical terms of each
+    # nonzero graded piece, sorted piece by piece
+    return [{"codim": k,
+             "terms": [{"monomial": dict(mono), "coeff": rational_json(c)}
+                       for mono, c in piece.terms()]}
+            for k, piece in enumerate(v.components()) if piece]
+
+
+@settings(max_examples=80, deadline=None)
+@given(formal_polys())
+@example(FORMAL.sym("x") ** 3 + FORMAL.sym("L") * FORMAL.sym("x"))
+def test_json_matches_the_per_piece_construction(v):
+    # formal variables count towards the total degree that orders terms but
+    # not towards codimension, so the canonical order interleaves the pieces:
+    # L*x (degree 2, codim 1) comes before x^3 (degree 3, codim 0)
+    assert class_to_json(v) == per_piece_json(v)
