@@ -13,8 +13,8 @@ from .bases import (FormalBase, ModeError, ProjectiveSpaceBase,
 from .fibration import (FermatFamily, HypersurfaceSpec, StratumData,
                         UnsupportedDegreeError, alpha_class,
                         euler_characteristic, q_class, q_class_display,
-                        relative_chern_class, smooth_hypersurface_euler,
-                        svw_components)
+                        q_rational, relative_chern_class,
+                        smooth_hypersurface_euler, svw_components)
 from .expressions import ParseError, evaluate, parse_class_expr, render_expr
 from .render import class_to_json, to_latex, to_text
 
@@ -29,7 +29,7 @@ __all__ = [
     "class_to_json", "divided_difference", "euler_characteristic", "evaluate",
     "expand_ratio", "inverse_total_chern", "normalize_twist",
     "parse_class_expr", "pushforward_closed_form", "pushforward_power",
-    "pushforward_series", "q_class", "q_class_display",
+    "pushforward_series", "q_class", "q_class_display", "q_rational",
     "relative_chern_class", "render_expr", "smooth_hypersurface_euler",
     "specialize", "svw_components", "to_latex", "to_text",
 ]

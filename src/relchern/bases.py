@@ -51,10 +51,9 @@ class FormalBase:
         return self.ring.sym(f"c{i}")
 
     def chern_polynomial(self):
-        out = self.ring.one
-        for i in range(1, self.dim + 1):
-            out = out + self.chern_symbol(i)
-        return out
+        terms = {((f"c{i}", 1),): 1 for i in range(1, self.dim + 1)}
+        terms[()] = 1
+        return self.ring._from_monomials(terms)
 
     def divisor(self, name=None):
         return self.ring.sym(name if name is not None else self.divisors[0])

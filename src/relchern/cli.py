@@ -28,11 +28,11 @@ import sys
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
 from .expressions import evaluate, parse_class_expr
 from .fibration import (FermatFamily, HypersurfaceSpec, UnsupportedDegreeError,
-                        euler_characteristic, q_class, relative_chern_class,
+                        euler_characteristic, q_rational, relative_chern_class,
                         smooth_hypersurface_euler, svw_components)
 from .pushforward import ProjClass, normalize_twist, pushforward_series
 from .render import all_digits, class_to_json, to_latex, to_text
-from .ring import ChowError, _is_int
+from .ring import ChowError, _is_int, expand_ratio
 
 COMMANDS = ("push", "euler", "svw", "qclass", "csm-check", "epoly")
 
@@ -233,7 +233,7 @@ def _run(cfg):
     hyp = _build_hypersurface(cfg, base, entries)
 
     if command == "qclass":
-        out = _bound_output(base, q_class(hyp))
+        out = _bound_output(base, expand_ratio(*q_rational(hyp)))
         doc["result"] = {"class": class_to_json(out)}
         return doc, _render_class(out, fmt)
 

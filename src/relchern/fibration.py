@@ -7,6 +7,20 @@ bundle roots, ``d`` and ``beta`` alone) times the Chern class of the base;
 the top graded piece of that product integrates to the Euler characteristic
 of the total space, the Sethi-Vafa-Witten formula.
 
+``Q`` is computed two ways.  :func:`q_class` pushes :func:`alpha_class`
+forward by the series route.  :func:`q_rational` needs no pushforward: with
+``M_j`` the roots (multiplicities ``m_j``, ``r`` in all) and
+``y = d*H + beta``, ``Q`` is the sum of the residues at ``H = -M_j`` of
+``g = prod ((1 + H + M_j) / (H + M_j))^m_j * y / (1 + y)``.  By the residue
+theorem that sum is minus the residues at infinity and at ``y = -1``, so
+
+    Q = r - 1/d + (1/d) prod ((1 + beta - d - d*M_j) / (1 + beta - d*M_j))^m_j
+
+for ``d >= 1``, and ``Q = r*beta / (1 + beta)`` for ``d = 0``: one exact
+ratio of base classes, whatever the base dimension.
+:func:`relative_chern_class` (and with it :func:`svw_components` and
+:func:`euler_characteristic`) expands that ratio.
+
 For the built-in family whose fibers are Fermat-type degree-``d``
 hypersurfaces in a ``O + L^n`` bundle, the same class is recomputed along a
 completely different route: the singular fibers are stratified by the
@@ -24,7 +38,7 @@ from dataclasses import dataclass
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
 from .pushforward import (BundleSpec, ProjClass, normalize_twist,
                           pushforward_closed_form, pushforward_series)
-from .ring import ChowError, ChowPoly, ContextError, _is_int
+from .ring import ChowError, ChowPoly, ContextError, _is_int, expand_ratio
 
 
 class UnsupportedDegreeError(ChowError):
@@ -95,6 +109,26 @@ def q_class(hyp):
     return pushforward_series(alpha_class(hyp))
 
 
+def q_rational(hyp):
+    """``Q`` as a ratio ``(N, D)`` of classes of the base ring, from the
+    residue theorem (see the module docstring), with no pushforward.
+
+    For ``d >= 1``, ``D = prod (1 + beta - d*M_j)^m_j`` and
+    ``N = ((d*r - 1) D + prod (1 + beta - d - d*M_j)^m_j) / d``, of degree
+    at most ``r``; for ``d = 0``, ``N = r*beta`` and ``D = 1 + beta``.
+    ``expand_ratio(N, D)`` equals :func:`q_class`.
+    """
+    one, beta, d = hyp.bundle.ring.one, hyp.beta, hyp.degree
+    rank = hyp.bundle.rank
+    if d == 0:
+        return rank * beta, one + beta
+    den = shifted = one
+    for form, mult in hyp.bundle.roots:
+        den = den * (one + beta - d * form) ** mult
+        shifted = shifted * (one + beta - d - d * form) ** mult
+    return ((d * rank - 1) * den + shifted) / d, den
+
+
 def q_class_display(hyp):
     """``Q`` again, by a route independent of :func:`q_class`: the class is
     first reduced by the Grothendieck relation (:meth:`ProjClass.reduce`)
@@ -105,10 +139,11 @@ def q_class_display(hyp):
 
 
 def relative_chern_class(hyp, base):
-    """Pushed-down total Chern class of the fibration: ``Q * c(base)``."""
+    """Pushed-down total Chern class of the fibration: ``Q * c(base)``, with
+    ``Q`` expanded from :func:`q_rational`."""
     if hyp.bundle.ring != base.ring:
         raise ContextError("hypersurface and base use different ring contexts")
-    return q_class(hyp) * base.chern_polynomial()
+    return expand_ratio(*q_rational(hyp)) * base.chern_polynomial()
 
 
 def euler_characteristic(hyp, base, as_integer=None):

@@ -17,6 +17,13 @@ roots.  The reduction route rewrites a class by the Grothendieck relation
 coefficients (:meth:`ProjClass.reduce`); its ``H**(r-1)`` coefficient is
 the pushforward.  The three agree identically, so comparing them is a
 strong correctness check on each.
+
+For the multiplier class ``Q`` of a hypersurface there is a fourth route,
+with no pushforward at all (:func:`relchern.fibration.q_rational`): the
+pushforward of ``f(H)`` is the sum of the residues of
+``f(H) / prod (H + M_j)^m_j`` at the negated roots, and for ``Q`` the residue
+theorem trades that sum for the residues at infinity and at ``y = -1``,
+which give one exact rational expression in the roots, ``d`` and ``beta``.
 """
 
 from __future__ import annotations
@@ -212,7 +219,7 @@ class ProjClass:
         # widths m and n reach only the slots H^0 .. H^(m + n - 2)
         out = [{} for _ in range(min(dmax + 1,
                                      len(self.coeffs) + len(other.coeffs) - 1))]
-        right = [_by_degree(b._terms, ring.bound) for b in other.coeffs]
+        right = [_by_degree(b._terms) for b in other.coeffs]
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(right[:dmax + 1 - i]):
                 # the H^(i+j) coefficient keeps codimension <= dmax - i - j
@@ -247,8 +254,7 @@ class ProjClass:
         ring = self.bundle.ring
         dmax = self.bundle.ambient_dim
         tail = {key: c for key, c in other.coeffs[0]._terms.items() if key}
-        negated = [(k, _by_degree({key: -c for key, c in u._terms.items()},
-                                  ring.bound))
+        negated = [(k, _by_degree({key: -c for key, c in u._terms.items()}))
                    for k, u in enumerate(other.coeffs) if k and u]
         quotient = []
         for n in range(dmax + 1):
@@ -294,8 +300,7 @@ class ProjClass:
         ring = bundle.ring
         rank = bundle.rank
         chern = bundle.total_chern().components()[1:rank + 1]
-        negated = [(k, _by_degree({key: -c for key, c in ck._terms.items()},
-                                  ring.bound))
+        negated = [(k, _by_degree({key: -c for key, c in ck._terms.items()}))
                    for k, ck in enumerate(chern, 1) if ck]
         out = [dict(a._terms) for a in self.coeffs]
         for n in range(len(out) - 1, rank - 1, -1):

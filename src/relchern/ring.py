@@ -258,25 +258,23 @@ def _split(terms, top):
     return pieces
 
 
-def _by_degree(terms, top):
-    """Terms sorted by degree, and for each degree ``d <= top`` how many of
-    them have degree at most ``d``."""
+def _by_degree(terms):
+    """Terms sorted by degree, and the degree of each."""
     items = sorted(terms.items(), key=lambda kc: kc[0] & _FIELD)
-    degrees = [key & _FIELD for key, _ in items]
-    return items, [bisect_right(degrees, d) for d in range(top + 1)]
+    return items, [key & _FIELD for key, _ in items]
 
 
 def _mul_into(out, left, right, limit):
     """Add the product of ``left`` (a term map) and ``right`` (from
     :func:`_by_degree`) to ``out``, skipping pairs whose degree would pass
     ``limit``.  The pairs skipped are exactly those truncation would drop."""
-    items, ends = right
+    items, degrees = right
     get = out.get
     for k1, c1 in left.items():
         room = limit - (k1 & _FIELD)
         if room < 0:
             continue
-        for k2, c2 in items[:ends[room]]:
+        for k2, c2 in items[:bisect_right(degrees, room)]:
             key = k1 + k2
             out[key] = get(key, 0) + c1 * c2
 
@@ -457,8 +455,7 @@ class ChowPoly:
         if other is None:
             return NotImplemented
         out = {}
-        _mul_into(out, self._terms, _by_degree(other._terms, ring.bound),
-                  ring.bound)
+        _mul_into(out, self._terms, _by_degree(other._terms), ring.bound)
         return ring._finish(out)
 
     __rmul__ = __mul__
@@ -547,23 +544,29 @@ class ChowPoly:
             if e:
                 power = power * value
             if e in groups:
-                _mul_into(out, groups[e], _by_degree(power._terms, ring.bound),
-                          ring.bound)
+                _mul_into(out, groups[e], _by_degree(power._terms), ring.bound)
         return ring._finish(out)
 
     def rewrite(self, mapping, ring=None):
         """Substitute every symbol via ``mapping`` (defaulting to itself),
         landing in ``ring`` (defaulting to this one)."""
         target = ring if ring is not None else self.ring
-        out = target.zero
+        powers = {}  # name -> [1, value, value**2, ...], grown as needed
+        out = {}
         for key, c in self._terms.items():
             term = target.const(c)
             for name, e in self.ring._decode(key)[1]:
-                value = mapping.get(name)
-                value = target.sym(name) if value is None else target.convert(value)
-                term = term * value ** e
-            out = out + term
-        return out
+                if name not in powers:
+                    value = mapping.get(name)
+                    value = target.sym(name) if value is None else target.convert(value)
+                    powers[name] = [target.one, value]
+                pw = powers[name]
+                while len(pw) <= e:
+                    pw.append(pw[-1] * pw[1])
+                term = term * pw[e]
+            for k, v in term._terms.items():
+                out[k] = out.get(k, 0) + v
+        return target._finish(out)
 
     # -- rendering -------------------------------------------------------
 

@@ -2,14 +2,23 @@
 
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from relchern import (BundleSpec, FormalBase, HypersurfaceSpec, q_class,
+                      to_text)
 from relchern.cli import main
+from tests import golden_cases
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+WEIERSTRASS_JOB_FILE = ROOT / "demos" / "weierstrass.json"
 
 WEIERSTRASS_FORMAL = {
     "base": {"kind": "formal", "dim": 3},
@@ -241,6 +250,40 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "23328"
+
+
+def test_committed_weierstrass_job_is_the_golden_one():
+    job = json.loads(WEIERSTRASS_JOB_FILE.read_text(encoding="utf-8"))
+    assert job == golden_cases.WEIERSTRASS_JOB
+
+
+def test_qclass_at_a_large_trunc_is_fast():
+    # Q comes from one rational expression, not from a pushforward of a
+    # class 2000 + 3 coefficients wide
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "relchern", "qclass",
+                           "--config", str(WEIERSTRASS_JOB_FILE),
+                           "--trunc", "2000", "--format", "json"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and proc.stderr == ""
+    pieces = json.loads(proc.stdout)["result"]["class"]
+    assert [p["codim"] for p in pieces] == list(range(1, 2001))
+    assert elapsed < 10, elapsed
+
+
+def test_qclass_matches_the_series_route_byte_for_byte(capsys):
+    code, out, err = run_cli(capsys, ["qclass", "--config",
+                                      str(WEIERSTRASS_JOB_FILE),
+                                      "--trunc", "300"])
+    base = FormalBase(300, fano=True)
+    L = base.ring.sym("L")
+    hyp = HypersurfaceSpec(3, 6 * L, BundleSpec([base.ring.zero, 2 * L, 3 * L]))
+    assert (code, err) == (0, "")
+    assert out == to_text(base.apply_binding(q_class(hyp))) + "\n"
 
 
 @pytest.mark.parametrize("expr", ["H/0", "H/(2-2)", "(1+L)/(L-L)"])

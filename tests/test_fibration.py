@@ -4,15 +4,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relchern import (BundleSpec, ChowRing, ContextError, FermatFamily,
                       FormalBase, HypersurfaceSpec, ModeError, ProjClass,
                       ProjectiveSpaceBase, Symbol, UnsupportedDegreeError,
                       alpha_class, euler_characteristic, expand_ratio,
                       pushforward_closed_form, pushforward_series, q_class,
-                      q_class_display, relative_chern_class,
+                      q_class_display, q_rational, relative_chern_class,
                       smooth_hypersurface_euler, specialize, svw_components)
 from tests import golden_cases
+from tests.randgen import (DIVISORS, random_base, random_bundle, random_form,
+                           random_proj_class)
 
 
 def weierstrass(base):
@@ -125,6 +129,85 @@ def test_q_family_closed_form_grid():
             closed = fam.q_closed_form()
             assert q_class(hyp) == closed, (n, d)
             assert q_class_display(hyp) == closed, (n, d)
+
+
+def q_by_residues(hyp):
+    return expand_ratio(*q_rational(hyp))
+
+
+def test_q_rational_weierstrass():
+    base = FormalBase(3)
+    L = base.ring.sym("L")
+    num, den = q_rational(weierstrass(base))
+    # 12L(1 - 3L) / ((1 + 6L)(1 - 3L)): the root 3L leaves a common factor
+    assert num == 12 * L * (1 - 3 * L)
+    assert den == (1 + 6 * L) * (1 - 3 * L)
+    assert expand_ratio(num, den) == expand_ratio(12 * L, 1 + 6 * L)
+
+
+def test_q_rational_matches_the_series_route_on_the_randomized_suite():
+    # the bundles of acceptance criterion 5, drawn from its seed and in its
+    # order; each gets a hypersurface of degree 0..5 from a second stream
+    rng = random.Random(1123581321)
+    for trial in range(210):
+        bundle = random_bundle(rng, random_base(rng))
+        random_proj_class(rng, bundle)  # keeps the stream of criterion 5
+        extra = random.Random(trial)
+        hyp = HypersurfaceSpec(extra.randint(0, 5),
+                               random_form(extra, bundle.ring, nonzero=False),
+                               bundle)
+        assert q_by_residues(hyp) == q_class(hyp), (trial, hyp)
+
+
+def test_q_rational_matches_the_series_route_on_the_anchors():
+    for case_id, _, hyp in golden_cases.anchors():
+        assert q_by_residues(hyp) == q_class(hyp), case_id
+
+
+def test_q_rational_degree_zero():
+    base = FormalBase(3)
+    ring = base.ring
+    L = ring.sym("L")
+    bundle = BundleSpec([(ring.zero, 2), (L, 1)])
+    empty = HypersurfaceSpec(0, ring.zero, bundle)
+    assert q_rational(empty) == (ring.zero, ring.one)
+    assert q_by_residues(empty) == q_class(empty) == 0
+    hyp = HypersurfaceSpec(0, 2 * L, bundle)
+    assert q_rational(hyp) == (3 * 2 * L, 1 + 2 * L)
+    assert q_by_residues(hyp) == q_class(hyp)
+
+
+def test_q_rational_over_projective_space():
+    for dim, d, beta in itertools.product(range(1, 5), range(6), (0, 1, -2)):
+        base = ProjectiveSpaceBase(dim)
+        h = base.hyperplane()
+        for roots in ([(0, 1), (2, 1), (3, 1)], [(0, 2), (1, 2), (-2, 1)]):
+            bundle = BundleSpec([(m * h, mult) for m, mult in roots])
+            hyp = HypersurfaceSpec(d, beta * h, bundle)
+            assert q_by_residues(hyp) == q_class(hyp), (dim, d, beta, roots)
+            assert euler_characteristic(hyp, base) == base.integrate(
+                (q_class(hyp) * base.chern_polynomial()).component(dim))
+
+
+def test_q_rational_on_the_fermat_grid():
+    for n, d in itertools.product(range(2, 5), repeat=2):
+        fam = FermatFamily(n, d)
+        assert q_by_residues(fam.hypersurface()) == fam.q_closed_form(), (n, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(0, 5),
+       dim=st.integers(1, 8))
+def test_q_rational_property(seed, degree, dim):
+    rng = random.Random(seed)
+    base = FormalBase(dim, divisors=DIVISORS)
+    bundle = random_bundle(rng, base, max_rank=6)
+    hyp = HypersurfaceSpec(degree, random_form(rng, base, nonzero=False),
+                           bundle)
+    num, den = q_rational(hyp)
+    assert not any(num.components()[bundle.rank + 1:])
+    assert den.constant_term() == 1
+    assert expand_ratio(num, den) == q_class(hyp)
 
 
 def test_q_family_examples():
