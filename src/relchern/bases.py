@@ -32,16 +32,21 @@ class FormalBase:
 
     ``divisors`` adds degree-1 symbols (``("L",)`` by default).  With
     ``fano=True`` the first divisor is declared to be the anticanonical
-    class and :meth:`apply_binding` rewrites it to ``c1`` for display.
+    class and :meth:`apply_binding` renames it to ``c1`` for display, so a
+    fano base needs at least one divisor.
     """
 
     def __init__(self, dim, divisors=("L",), fano=False):
         if not _is_int(dim) or dim < 0:
             raise ValueError("base dimension must be a nonnegative integer")
+        divisors = tuple(divisors)
+        if fano and not divisors:
+            raise ValueError("a fano base needs a divisor to stand for the "
+                             "anticanonical class")
         symbols = [Symbol(f"c{i}", i) for i in range(1, dim + 1)]
         symbols += [Symbol(name, 1) for name in divisors]
         self.dim = dim
-        self.divisors = tuple(divisors)
+        self.divisors = divisors
         self.fano = bool(fano)
         self.ring = ChowRing(symbols, dim)
 
@@ -59,12 +64,12 @@ class FormalBase:
         return self.ring.sym(name if name is not None else self.divisors[0])
 
     def apply_binding(self, cls):
-        """Rewrite the anticanonical divisor as ``c1`` when ``fano`` is set."""
+        """Rename the anticanonical divisor to ``c1`` when ``fano`` is set."""
         if not self.fano:
             return cls
         if self.dim < 1:
             raise SpecializationError("a zero-dimensional base has no c1")
-        return cls.rewrite({self.divisors[0]: self.chern_symbol(1)})
+        return cls.rename(self.divisors[0], "c1")
 
     def __eq__(self, other):
         if not isinstance(other, FormalBase):

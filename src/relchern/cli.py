@@ -46,17 +46,15 @@ def _build_parser():
         prog="relchern",
         description="exact pushforwards and Euler characteristics for "
                     "hypersurface fibrations in projective bundles")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None,
-                         help="JSON job file, or - for stdin")
-        cmd.add_argument("--class", dest="class_expr", default=None,
-                         help="class expression (push command)")
-        cmd.add_argument("--format", choices=("text", "latex", "json"),
-                         default=None)
-        cmd.add_argument("--trunc", type=int, default=None,
-                         help="override the truncation bound (base dimension)")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None,
+                        help="JSON job file, or - for stdin")
+    parser.add_argument("--class", dest="class_expr", default=None,
+                        help="class expression (push command)")
+    parser.add_argument("--format", choices=("text", "latex", "json"),
+                        default=None)
+    parser.add_argument("--trunc", type=int, default=None,
+                        help="override the truncation bound (base dimension)")
     return parser
 
 

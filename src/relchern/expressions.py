@@ -16,10 +16,9 @@ the same trees evaluate to base classes or to classes on a projectivization.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .render import all_digits
-from .ring import ChowError, SymbolError
+from .ring import ChowError, SymbolError, _Frozen
 
 
 class ParseError(ChowError):
@@ -31,32 +30,39 @@ class ParseError(ChowError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(_Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self._set(value)
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Sym(_Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self._set(name)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
+class Neg(_Frozen):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        self._set(operand)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: object
-    right: object
+class BinOp(_Frozen):
+    __slots__ = ("op", "left", "right")  # op is one of + - * /
+
+    def __init__(self, op, left, right):
+        self._set(op, left, right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(_Frozen):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent):
+        self._set(base, exponent)
 
 
 def _tokenize(text):

@@ -33,12 +33,11 @@ strongest end-to-end check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
 from .pushforward import (BundleSpec, ProjClass, normalize_twist,
                           pushforward_closed_form, pushforward_series)
-from .ring import ChowError, ChowPoly, ContextError, _is_int, expand_ratio
+from .ring import ChowError, ContextError, _Frozen, _is_int, expand_ratio
 
 
 class UnsupportedDegreeError(ChowError):
@@ -191,8 +190,7 @@ def smooth_hypersurface_euler(n, d):
     return -sum(math.comb(n + 1, k) * (-d) ** (n - k) for k in range(n))
 
 
-@dataclass(frozen=True)
-class StratumData:
+class StratumData(_Frozen):
     """Fiberwise Euler characteristics and base classes feeding the
     stratified Chern-class computation.
 
@@ -203,18 +201,16 @@ class StratumData:
     so the jumps are signed Milnor numbers.
     """
 
-    chi0: int
-    chi1: int
-    chi2: int
-    class_f: ChowPoly
-    class_g: ChowPoly
-    class_discriminant: ChowPoly
-    csm_discriminant: ChowPoly
-    chern_common_zero: ChowPoly
+    __slots__ = ("chi0", "chi1", "chi2", "class_f", "class_g",
+                 "class_discriminant", "csm_discriminant", "chern_common_zero")
+
+    def __init__(self, chi0, chi1, chi2, class_f, class_g, class_discriminant,
+                 csm_discriminant, chern_common_zero):
+        self._set(chi0, chi1, chi2, class_f, class_g, class_discriminant,
+                  csm_discriminant, chern_common_zero)
 
 
-@dataclass(frozen=True)
-class FermatFamily:
+class FermatFamily(_Frozen):
     """Degree-``d`` fibrations with Fermat-type fibers.
 
     The fiber equation is a degree-``d`` power sum in the ``L``-twisted
@@ -225,18 +221,16 @@ class FermatFamily:
     through :class:`HypersurfaceSpec` directly).
     """
 
-    n: int
-    degree: int
-    base_dim: int = 3
-    divisor: str = "L"
+    __slots__ = ("n", "degree", "base_dim", "divisor")
 
-    def __post_init__(self):
-        if not _is_int(self.n) or self.n < 1:
+    def __init__(self, n, degree, base_dim=3, divisor="L"):
+        if not _is_int(n) or n < 1:
             raise ValueError("fiber dimension n must be a positive integer")
-        if not _is_int(self.degree) or self.degree < 2:
+        if not _is_int(degree) or degree < 2:
             raise UnsupportedDegreeError("the family needs degree at least 2")
-        if not _is_int(self.base_dim) or self.base_dim < 0:
+        if not _is_int(base_dim) or base_dim < 0:
             raise ValueError("base dimension must be a nonnegative integer")
+        self._set(n, degree, base_dim, divisor)
 
     def formal_base(self):
         return FormalBase(self.base_dim, divisors=(self.divisor,))

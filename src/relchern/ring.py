@@ -26,9 +26,9 @@ Values are immutable and operations are pure.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .render import format_terms
@@ -75,18 +75,59 @@ def _rational(value):
     raise TypeError(f"exact rational expected, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Symbol:
+class _Frozen:
+    """An immutable record of the fields named in ``__slots__``, compared,
+    hashed and shown by those fields as a frozen dataclass would be, without
+    the import and class-creation cost of :mod:`dataclasses`.  Subclasses
+    set their fields once, in ``__init__``, through :meth:`_set`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the tuple of field values in one C call, not a generator:
+        # ChowRing compares and hashes its tuple of symbols
+        get = operator.attrgetter(*cls.__slots__)
+        cls._fields = property(get if len(cls.__slots__) > 1
+                               else lambda self: (get(self),))
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields
+
+
+class Symbol(_Frozen):
     """A named generator with a codimension weight."""
 
-    name: str
-    degree: int = 1
+    __slots__ = ("name", "degree")
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
-            raise SymbolError(f"invalid symbol name {self.name!r}")
-        if not _is_int(self.degree) or self.degree < 1:
+    def __init__(self, name, degree=1):
+        if not isinstance(name, str) or not _NAME_RE.match(name):
+            raise SymbolError(f"invalid symbol name {name!r}")
+        if not _is_int(degree) or degree < 1:
             raise SymbolError("symbol degree must be a positive integer")
+        self._set(name, degree)
 
 
 class ChowRing:
@@ -567,6 +608,23 @@ class ChowPoly:
             for k, v in term._terms.items():
                 out[k] = out.get(k, 0) + v
         return target._finish(out)
+
+    def rename(self, name, new):
+        """Replace the symbol ``name`` by the symbol ``new`` of the same
+        degree.  Degrees do not change, so this shifts each packed key by
+        the exponent of ``name`` and multiplies nothing; terms that meet
+        add up.  Equals ``rewrite({name: ring.sym(new)})``."""
+        ring = self.ring
+        if (ring.degree_of(name) != ring.degree_of(new)
+                or ring.is_formal(name) != ring.is_formal(new)):
+            raise SymbolError(f"{name!r} and {new!r} differ in degree")
+        shift = ring._shift[name]
+        step = ring._unit[new] - ring._unit[name]
+        out = {}
+        for key, c in self._terms.items():
+            key += (key >> shift & _FIELD) * step
+            out[key] = out.get(key, 0) + c
+        return ring._finish(out)
 
     # -- rendering -------------------------------------------------------
 

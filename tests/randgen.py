@@ -18,6 +18,9 @@ def _ring_of(base_or_ring):
 
 def random_form(rng, base_or_ring, nonzero=True):
     ring = _ring_of(base_or_ring)
+    # checked without drawing, so no seeded stream depends on it
+    if nonzero and all(ring.sym(name).is_zero() for name in DIVISORS):
+        raise ValueError("every linear form is zero in this ring")
     while True:
         form = ring.linear({name: rng.randint(-3, 3) for name in DIVISORS})
         if not (nonzero and form.is_zero()):

@@ -94,6 +94,35 @@ def test_fano_binding_is_render_time():
     assert plain.apply_binding(12 * L) == 12 * plain.divisor()
 
 
+def test_fano_binding_renames_on_packed_keys():
+    # the rename must agree with the general rewrite, also where L and c1
+    # meet in one term and where renamed terms collide with existing ones
+    rng = random.Random(9)
+    met = 0
+    for _ in range(200):
+        base = FormalBase(rng.randint(1, 4), divisors=("L", "M"), fano=True)
+        c1 = base.chern_symbol(1)
+        mixed = base.divisor() + rng.randint(-2, 2) * c1
+        cls = (random_poly(rng, base.ring, max_factors=4, terms=6)
+               + random_poly(rng, base.ring, max_factors=3) * mixed)
+        met += any({"L", "c1"} <= {n for n, _ in mono} for mono, _ in cls.terms())
+        assert base.apply_binding(cls) == cls.rewrite({"L": c1})
+    assert met > 25
+    base = FormalBase(3, fano=True)
+    L, c1 = base.divisor(), base.chern_symbol(1)
+    assert base.apply_binding((L + c1) ** 3 - 8 * c1 ** 3) == 0
+    assert base.apply_binding(L ** 2 * c1 - L * c1 ** 2) == 0
+    with pytest.raises(SymbolError):
+        L.rename("L", "c2")  # a rename keeps every degree
+
+
+def test_a_fano_base_needs_a_divisor():
+    with pytest.raises(ValueError, match="fano"):
+        FormalBase(2, divisors=(), fano=True)
+    assert FormalBase(2, divisors=()).divisors == ()
+    assert FormalBase(2, divisors=iter(["L"]), fano=True).divisors == ("L",)
+
+
 def test_base_equality_and_validation():
     assert FormalBase(2) == FormalBase(2)
     assert FormalBase(2) != FormalBase(2, fano=True)

@@ -514,3 +514,26 @@ def test_fuzzed_jobs_keep_the_exit_code_contract(tmp_path, capsys, command, fmt,
                                                   job):
     assert_contract(capsys, [command, "--config", write_config(tmp_path, job),
                              "--format", fmt], fmt)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+])
+def test_a_missing_or_unknown_command_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_fano_base_without_divisors_is_a_json_error(tmp_path, capsys):
+    payload = dict(WEIERSTRASS_FORMAL)
+    payload["base"] = {"kind": "formal", "dim": 2, "divisors": [], "fano": True}
+    cfg = write_config(tmp_path, payload)
+    code, out, err = run_cli(capsys, ["qclass", "--config", cfg,
+                                      "--format", "json"])
+    assert code == 2 and "Traceback" not in err
+    error = json.loads(out)["error"]
+    assert (error["exit_code"], error["type"]) == (2, "ValueError")
+    assert "fano" in error["message"]
