@@ -64,11 +64,10 @@ class FormalBase:
         return self.ring.sym(name if name is not None else self.divisors[0])
 
     def apply_binding(self, cls):
-        """Rename the anticanonical divisor to ``c1`` when ``fano`` is set."""
-        if not self.fano:
+        """Rename the anticanonical divisor to ``c1`` when ``fano`` is set.
+        On a point every class is a constant, returned unchanged."""
+        if not self.fano or self.dim == 0:
             return cls
-        if self.dim < 1:
-            raise SpecializationError("a zero-dimensional base has no c1")
         return cls.rename(self.divisors[0], "c1")
 
     def __eq__(self, other):

@@ -16,7 +16,8 @@ The job is a JSON object (``--config FILE``, or ``-`` for stdin) with keys
 ``trunc`` and ``integrate``; command-line flags override config values.
 Exit codes: 0 success, 2 parse or validation failure (a division by the
 zero class included), 3 mode error (an output mode the chosen base cannot
-provide).
+provide).  In JSON mode a failure also prints an ``{"error": {...}}`` object
+on stdout; a usage error does when ``--format json`` is on the command line.
 """
 
 from __future__ import annotations
@@ -41,8 +42,20 @@ class ValidationError(ChowError):
     """Malformed job configuration."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print the usage on stderr and exit 2; when the command
+    line asks for JSON they also print the error object on stdout."""
+
+    json_errors = False
+
+    def error(self, message):
+        if self.json_errors:
+            _print_error(2, "UsageError", message)
+        super().error(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relchern",
         description="exact pushforwards and Euler characteristics for "
                     "hypersurface fibrations in projective bundles")
@@ -279,17 +292,35 @@ def _run(cfg):
     raise ValidationError(f"unknown command {command!r}")
 
 
+def _print_error(code, kind, message):
+    payload = {"error": {"exit_code": code, "type": kind, "message": message}}
+    print(json.dumps(payload, indent=2))
+
+
 def _fail(fmt, exc, code):
     print(f"error: {exc}", file=sys.stderr)
     if fmt == "json":
-        payload = {"error": {"exit_code": code, "type": type(exc).__name__,
-                             "message": str(exc)}}
-        print(json.dumps(payload, indent=2))
+        _print_error(code, type(exc).__name__, str(exc))
     return code
 
 
+def _asks_for_json(argv):
+    """Whether the last ``--format`` on the command line, written as argparse
+    reads it (``--format json``, ``--format=json`` or a prefix such as
+    ``--form``), is ``json``."""
+    fmt = None
+    for arg, after in zip(argv, argv[1:] + [None]):
+        name, eq, value = arg.partition("=")
+        if len(name) > 2 and "--format".startswith(name):
+            fmt = value if eq else after
+    return fmt == "json"
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    parser.json_errors = _asks_for_json(argv)
+    args = parser.parse_args(argv)
     fmt = args.format or "text"
     try:
         cfg = _load_config(args)

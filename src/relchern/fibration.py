@@ -7,8 +7,9 @@ bundle roots, ``d`` and ``beta`` alone) times the Chern class of the base;
 the top graded piece of that product integrates to the Euler characteristic
 of the total space, the Sethi-Vafa-Witten formula.
 
-``Q`` is computed two ways.  :func:`q_class` pushes :func:`alpha_class`
-forward by the series route.  :func:`q_rational` needs no pushforward: with
+``Q`` is computed three ways.  :func:`q_class` pushes :func:`alpha_class`
+forward by the series route; :func:`q_class_display` reduces it by the
+Grothendieck relation.  :func:`q_rational` needs no pushforward: with
 ``M_j`` the roots (multiplicities ``m_j``, ``r`` in all) and
 ``y = d*H + beta``, ``Q`` is the sum of the residues at ``H = -M_j`` of
 ``g = prod ((1 + H + M_j) / (H + M_j))^m_j * y / (1 + y)``.  By the residue
@@ -36,7 +37,7 @@ import math
 
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
 from .pushforward import (BundleSpec, ProjClass, normalize_twist,
-                          pushforward_closed_form, pushforward_series)
+                          pushforward_series)
 from .ring import ChowError, ContextError, _Frozen, _is_int, expand_ratio
 
 
@@ -129,12 +130,10 @@ def q_rational(hyp):
 
 
 def q_class_display(hyp):
-    """``Q`` again, by a route independent of :func:`q_class`: the class is
-    first reduced by the Grothendieck relation (:meth:`ProjClass.reduce`)
-    to at most ``rank`` coefficients, then pushed by
-    :func:`pushforward_closed_form`, which on a reduced class packs the one
-    ``H**(rank-1)`` coefficient; must equal :func:`q_class`."""
-    return pushforward_closed_form(alpha_class(hyp).reduce())
+    """``Q`` again, by a route independent of :func:`q_class`: the class
+    reduced by the Grothendieck relation (:meth:`ProjClass.reduce`) has at
+    most ``rank`` coefficients, and the ``H**(rank-1)`` one is ``Q``."""
+    return alpha_class(hyp).reduce().coeff(hyp.bundle.fiber_dim)
 
 
 def relative_chern_class(hyp, base):

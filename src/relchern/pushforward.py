@@ -16,7 +16,9 @@ roots.  The reduction route rewrites a class by the Grothendieck relation
 ``H**r + c_1(E) H**(r-1) + ... + c_r(E) = 0`` until it has at most ``r``
 coefficients (:meth:`ProjClass.reduce`); its ``H**(r-1)`` coefficient is
 the pushforward.  The three agree identically, so comparing them is a
-strong correctness check on each.
+strong correctness check on each.  ``q_class`` and the CLI's ``push`` take
+the series route and ``q_class_display`` the reduction route; the
+closed-form route is the reference that tests run on full-width classes.
 
 For the multiplier class ``Q`` of a hypersurface there is a fourth route,
 with no pushforward at all (:func:`relchern.fibration.q_rational`): the

@@ -527,6 +527,42 @@ def test_a_missing_or_unknown_command_exits_2(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options", [
+    ["--format", "json", "--trunc", "x"],
+    ["--format=json", "--bogus"],
+    ["--format", "json", "--trunc"],
+    ["--form", "json", "--trunc", "x"],
+], ids=["invalid-value", "unknown-option", "missing-value", "abbreviated"])
+def test_usage_errors_keep_the_json_contract(capsys, options):
+    with pytest.raises(SystemExit) as exc:
+        main(["qclass", "--config", str(WEIERSTRASS_JOB_FILE)] + options)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["exit_code"] == 2
+    assert "usage: relchern" in captured.err
+    assert f"relchern: error: {error['message']}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["qclass", "euler", "svw", "epoly"])
+def test_a_zero_dimensional_fano_base_prints_as_without_fano(tmp_path, capsys,
+                                                              command):
+    # cubic surfaces over a point: Q and chi are 9, not 0
+    outputs = []
+    for fano in (True, False):
+        payload = {"base": {"kind": "formal", "dim": 0, "fano": fano},
+                   "bundle": {"roots": [{"form": {}},
+                                        {"form": {"L": 1}, "mult": 3}]},
+                   "hypersurface": {"degree": 3, "beta": {"L": 3}}}
+        cfg = write_config(tmp_path, payload)
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, [command, "--config", cfg,
+                                              "--format", fmt])
+            assert code == 0, err
+            outputs.append(out)
+    assert outputs[:2] == outputs[2:]
+
+
 def test_a_fano_base_without_divisors_is_a_json_error(tmp_path, capsys):
     payload = dict(WEIERSTRASS_FORMAL)
     payload["base"] = {"kind": "formal", "dim": 2, "divisors": [], "fano": True}

@@ -483,6 +483,15 @@ def test_three_routes_agree_on_anchors_and_the_fermat_grid():
         assert q_class_display(hyp) == q, label
 
 
+def test_q_class_display_runs_no_divided_difference(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the divided-difference route ran")
+
+    monkeypatch.setattr("relchern.pushforward.divided_difference", refuse)
+    for case_id, _, hyp in golden_cases.anchors():
+        assert q_class_display(hyp) == q_class(hyp), case_id
+
+
 def test_reduced_alpha_has_width_rank_at_high_dimension():
     for dim in (7, 60, 200):
         base = FormalBase(dim)
