@@ -32,8 +32,9 @@ class FormalBase:
 
     ``divisors`` adds degree-1 symbols (``("L",)`` by default).  With
     ``fano=True`` the first divisor is declared to be the anticanonical
-    class and :meth:`apply_binding` renames it to ``c1`` for display, so a
-    fano base needs at least one divisor.
+    class: :meth:`bindings` reads it as ``c1``, so a job that names it
+    computes in ``c1`` from the start.  A fano base needs at least one
+    divisor.
     """
 
     def __init__(self, dim, divisors=("L",), fano=False):
@@ -63,12 +64,17 @@ class FormalBase:
     def divisor(self, name=None):
         return self.ring.sym(name if name is not None else self.divisors[0])
 
-    def apply_binding(self, cls):
-        """Rename the anticanonical divisor to ``c1`` when ``fano`` is set.
-        On a point every class is a constant, returned unchanged."""
+    def bindings(self):
+        """``{name: class}`` for the divisor this base reads as another
+        class: the first divisor is ``c1`` when ``fano`` is set.  A point
+        has no ``c1``, and there every class is a constant."""
         if not self.fano or self.dim == 0:
-            return cls
-        return cls.rename(self.divisors[0], "c1")
+            return {}
+        return {self.divisors[0]: self.chern_symbol(1)}
+
+    def apply_binding(self, cls):
+        """``cls`` with each name of :meth:`bindings` replaced by its class."""
+        return cls.rewrite(self.bindings())
 
     def __eq__(self, other):
         if not isinstance(other, FormalBase):
@@ -107,6 +113,13 @@ class ProjectiveSpaceBase:
 
     def chern_component(self, i):
         return math.comb(self.dim + 1, i) * self.hyperplane() ** i
+
+    def bindings(self):
+        """``{divisor: multiple*h}`` once a multiple is bound; ``h`` itself
+        is never rebound."""
+        if self.multiple is None or self.divisor == "h":
+            return {}
+        return {self.divisor: self.divisor_class()}
 
     def divisor_class(self):
         if self.multiple is None:

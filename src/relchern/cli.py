@@ -17,7 +17,8 @@ The job is a JSON object (``--config FILE``, or ``-`` for stdin) with keys
 Exit codes: 0 success, 2 parse or validation failure (a division by the
 zero class included), 3 mode error (an output mode the chosen base cannot
 provide).  In JSON mode a failure also prints an ``{"error": {...}}`` object
-on stdout; a usage error does when ``--format json`` is on the command line.
+on stdout.  So does a usage error, when ``--format json`` is on the command
+line or, with no ``--format`` there, when the ``--config`` job asks for JSON.
 """
 
 from __future__ import annotations
@@ -43,13 +44,14 @@ class ValidationError(ChowError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors print the usage on stderr and exit 2; when the command
-    line asks for JSON they also print the error object on stdout."""
+    """Usage errors print the usage on stderr and exit 2; when the job asks
+    for JSON (see :func:`_asks_for_json`) they also print the error object
+    on stdout."""
 
-    json_errors = False
+    argv = ()
 
     def error(self, message):
-        if self.json_errors:
+        if _asks_for_json(self.argv):
             _print_error(2, "UsageError", message)
         super().error(message)
 
@@ -88,14 +90,16 @@ def _as_bool(value, what):
     return value
 
 
+def _read_job(path):
+    """The JSON document of the job file at ``path`` (``-`` for stdin)."""
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def _load_config(args):
-    if args.config is None:
-        raw = {}
-    elif args.config == "-":
-        raw = json.load(sys.stdin)
-    else:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+    raw = {} if args.config is None else _read_job(args.config)
     _require(isinstance(raw, dict), "config must be a JSON object")
     if "command" in raw:
         _require(raw["command"] in COMMANDS,
@@ -149,13 +153,16 @@ def _build_base(cfg):
 def _form(mapping, base):
     _require(isinstance(mapping, dict), "a linear form must be an object")
     ring = base.ring
+    bound = base.bindings()
     out = ring.zero
     for name, coeff in mapping.items():
         coeff = _as_int(coeff, f"coefficient of {name}")
-        if name in ring._degrees:
+        if name in bound:
+            out = out + coeff * bound[name]
+        elif name in ring._degrees:
             out = out + coeff * ring.sym(name)
         elif isinstance(base, ProjectiveSpaceBase) and name == base.divisor:
-            out = out + coeff * base.divisor_class()
+            out = out + coeff * base.divisor_class()  # unbound: raises
         else:
             raise ValidationError(f"unknown symbol {name!r} in a form")
     return out
@@ -201,10 +208,6 @@ def _family_from(hyp, base):
     return FermatFamily(mult, hyp.degree, base.dim, name)
 
 
-def _bound_output(base, cls):
-    return base.apply_binding(cls) if isinstance(base, FormalBase) else cls
-
-
 def _render_class(cls, fmt):
     return to_latex(cls) if fmt == "latex" else to_text(cls)
 
@@ -228,15 +231,14 @@ def _run(cfg):
         # the expression is written in the untwisted hyperplane class
         bundle, untwisted_h = normalize_twist(_build_roots(cfg, base),
                                               [base.ring.zero, base.ring.one])
-        env = {s.name: ProjClass.from_base(bundle, base.ring.sym(s.name))
-               for s in base.ring.symbols}
-        if (isinstance(base, ProjectiveSpaceBase) and base.multiple is not None
-                and base.divisor not in env):
-            env[base.divisor] = ProjClass.from_base(bundle, base.divisor_class())
+        names = {s.name: base.ring.sym(s.name) for s in base.ring.symbols}
+        names.update(base.bindings())
+        env = {name: ProjClass.from_base(bundle, cls)
+               for name, cls in names.items()}
         env["H"] = untwisted_h
         tree = parse_class_expr(cfg["class"])
         value = evaluate(tree, env, lambda v: ProjClass.constant(bundle, v))
-        pushed = _bound_output(base, pushforward_series(value))
+        pushed = pushforward_series(value)
         doc["result"] = {"class": class_to_json(pushed)}
         return doc, _render_class(pushed, fmt)
 
@@ -244,7 +246,7 @@ def _run(cfg):
     hyp = _build_hypersurface(cfg, base, entries)
 
     if command == "qclass":
-        out = _bound_output(base, expand_ratio(*q_rational(hyp)))
+        out = expand_ratio(*q_rational(hyp))
         doc["result"] = {"class": class_to_json(out)}
         return doc, _render_class(out, fmt)
 
@@ -254,15 +256,13 @@ def _run(cfg):
         if isinstance(value, int):
             doc["result"] = {"euler_characteristic": str(value)}
             return doc, str(value)
-        out = _bound_output(base, value)
-        doc["result"] = {"class": class_to_json(out)}
-        return doc, _render_class(out, fmt)
+        doc["result"] = {"class": class_to_json(value)}
+        return doc, _render_class(value, fmt)
 
     if command == "svw":
-        pieces = [_bound_output(base, c) for c in svw_components(hyp, base)]
         entries_json = []
         lines = []
-        for j, piece in enumerate(pieces, start=1):
+        for j, piece in enumerate(svw_components(hyp, base), start=1):
             parts = class_to_json(piece)
             entries_json.append(parts[0] if parts else {"codim": j, "terms": []})
             lines.append(f"codim {j}: {_render_class(piece, fmt)}")
@@ -277,16 +277,16 @@ def _run(cfg):
         doc["result"] = {"equal": equal}
         if equal:
             return doc, "EQUAL"
-        shown = [_bound_output(base, c) for c in (left, right, left - right)]
+        diff = left - right
         doc["result"].update({
-            "stratified": class_to_json(shown[0]),
-            "pushforward": class_to_json(shown[1]),
-            "difference": class_to_json(shown[2]),
+            "stratified": class_to_json(left),
+            "pushforward": class_to_json(right),
+            "difference": class_to_json(diff),
         })
         text = ("NOT EQUAL\n"
-                f"stratified:  {_render_class(shown[0], fmt)}\n"
-                f"pushforward: {_render_class(shown[1], fmt)}\n"
-                f"difference:  {_render_class(shown[2], fmt)}")
+                f"stratified:  {_render_class(left, fmt)}\n"
+                f"pushforward: {_render_class(right, fmt)}\n"
+                f"difference:  {_render_class(diff, fmt)}")
         return doc, text
 
     raise ValidationError(f"unknown command {command!r}")
@@ -304,22 +304,41 @@ def _fail(fmt, exc, code):
     return code
 
 
-def _asks_for_json(argv):
-    """Whether the last ``--format`` on the command line, written as argparse
-    reads it (``--format json``, ``--format=json`` or a prefix such as
-    ``--form``), is ``json``."""
-    fmt = None
+_OPTIONS = ("--config", "--class", "--format", "--trunc")
+
+
+def _last_value(argv, option):
+    """The value of the last ``option`` on the command line, written as
+    argparse reads it (``--format json``, ``--format=json`` or an
+    unambiguous prefix such as ``--form``), or ``None``."""
+    value = None
     for arg, after in zip(argv, argv[1:] + [None]):
-        name, eq, value = arg.partition("=")
-        if len(name) > 2 and "--format".startswith(name):
-            fmt = value if eq else after
+        name, eq, rest = arg.partition("=")
+        if [o for o in _OPTIONS if o.startswith(name)] == [option]:
+            value = rest if eq else after
+    return value
+
+
+def _asks_for_json(argv):
+    """Whether the job asks for JSON: the last ``--format`` on the command
+    line is ``json``, or, with no ``--format`` there, the job file named by
+    the last ``--config`` says ``"format": "json"``.  A job file that cannot
+    be read or parsed counts as text."""
+    fmt = _last_value(argv, "--format")
+    config = _last_value(argv, "--config")
+    if fmt is None and config is not None:
+        try:
+            raw = _read_job(config)
+        except (OSError, ValueError):
+            raw = None
+        fmt = raw.get("format") if isinstance(raw, dict) else None
     return fmt == "json"
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    parser.json_errors = _asks_for_json(argv)
+    parser.argv = argv
     args = parser.parse_args(argv)
     fmt = args.format or "text"
     try:

@@ -275,7 +275,7 @@ class ProjClass:
         return other.__truediv__(self)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ChowPoly)):
+        if _is_int(other) or isinstance(other, (Fraction, ChowPoly)):
             other = ProjClass(self.bundle, [other])
         if not isinstance(other, ProjClass):
             return NotImplemented
@@ -468,7 +468,7 @@ def pushforward_closed_form(cls):
     gcoeffs = ([aux.zero] * (m - 1)
                + [aux.convert(a) for a in cls.coeffs[n:]])
     g = divided_difference(gcoeffs, points, aux)
-    for name, (form, mult) in zip(points, roots):
+    for name, (_, mult) in zip(points, roots):
         k = mult - 1
         if k:
             # (1/k!) d^k/dx^k (x^k g) takes x^e to comb(e + k, k) x^e
@@ -476,5 +476,5 @@ def pushforward_closed_form(cls):
             g = aux._finish({key + e * unit: c * math.comb(e + k, k)
                              for e, part in g._by_power(name).items()
                              for key, c in part.items()})
-        g = g.substitute(name, aux.convert(-form))
-    return ring.convert(g)
+    return g.rewrite({name: -form for name, (form, _) in zip(points, roots)},
+                     ring)

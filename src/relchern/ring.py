@@ -195,6 +195,10 @@ class ChowRing:
     def is_formal(self, name):
         return name in self._formal_set
 
+    def _require_formal(self, name):
+        if name not in self._formal_set:
+            raise SymbolError(f"{name!r} is not a formal variable of this ring")
+
     @property
     def zero(self):
         return ChowPoly(self, {})
@@ -557,8 +561,7 @@ class ChowPoly:
     def _by_power(self, name):
         """``{e: {key without name: coeff}}``: the terms grouped by their
         exponent of the formal variable ``name``."""
-        if not self.ring.is_formal(name):
-            raise SymbolError(f"{name!r} is not a formal variable of this ring")
+        self.ring._require_formal(name)
         shift = self.ring._shift[name]
         groups = {}
         for key, c in self._terms.items():
@@ -576,17 +579,8 @@ class ChowPoly:
 
     def substitute(self, name, value):
         """Replace a formal variable by a class of the same ring."""
-        groups = self._by_power(name)
-        ring = self.ring
-        value = ring.convert(value)
-        out = {}
-        power = ring.one
-        for e in range(max(groups, default=0) + 1):
-            if e:
-                power = power * value
-            if e in groups:
-                _mul_into(out, groups[e], _by_degree(power._terms), ring.bound)
-        return ring._finish(out)
+        self.ring._require_formal(name)
+        return self.rewrite({name: value})
 
     def rewrite(self, mapping, ring=None):
         """Substitute every symbol via ``mapping`` (defaulting to itself),
@@ -608,23 +602,6 @@ class ChowPoly:
             for k, v in term._terms.items():
                 out[k] = out.get(k, 0) + v
         return target._finish(out)
-
-    def rename(self, name, new):
-        """Replace the symbol ``name`` by the symbol ``new`` of the same
-        degree.  Degrees do not change, so this shifts each packed key by
-        the exponent of ``name`` and multiplies nothing; terms that meet
-        add up.  Equals ``rewrite({name: ring.sym(new)})``."""
-        ring = self.ring
-        if (ring.degree_of(name) != ring.degree_of(new)
-                or ring.is_formal(name) != ring.is_formal(new)):
-            raise SymbolError(f"{name!r} and {new!r} differ in degree")
-        shift = ring._shift[name]
-        step = ring._unit[new] - ring._unit[name]
-        out = {}
-        for key, c in self._terms.items():
-            key += (key >> shift & _FIELD) * step
-            out[key] = out.get(key, 0) + c
-        return ring._finish(out)
 
     # -- rendering -------------------------------------------------------
 

@@ -95,8 +95,8 @@ def test_fano_binding_is_render_time():
 
 
 def test_fano_binding_renames_on_packed_keys():
-    # the rename must agree with the general rewrite, also where L and c1
-    # meet in one term and where renamed terms collide with existing ones
+    # the binding must agree with a term-by-term reference, also where L and
+    # c1 meet in one term and where bound terms collide with existing ones
     rng = random.Random(9)
     met = 0
     for _ in range(200):
@@ -106,14 +106,29 @@ def test_fano_binding_renames_on_packed_keys():
         cls = (random_poly(rng, base.ring, max_factors=4, terms=6)
                + random_poly(rng, base.ring, max_factors=3) * mixed)
         met += any({"L", "c1"} <= {n for n, _ in mono} for mono, _ in cls.terms())
-        assert base.apply_binding(cls) == cls.rewrite({"L": c1})
+        reference = base.ring.zero
+        for mono, c in cls.terms():
+            term = base.ring.const(c)
+            for name, e in mono:
+                term = term * (c1 if name == "L" else base.ring.sym(name)) ** e
+            reference = reference + term
+        assert base.apply_binding(cls) == reference
     assert met > 25
     base = FormalBase(3, fano=True)
     L, c1 = base.divisor(), base.chern_symbol(1)
     assert base.apply_binding((L + c1) ** 3 - 8 * c1 ** 3) == 0
     assert base.apply_binding(L ** 2 * c1 - L * c1 ** 2) == 0
-    with pytest.raises(SymbolError):
-        L.rename("L", "c2")  # a rename keeps every degree
+
+
+def test_bindings_name_the_divisor_a_base_reads_as_another_class():
+    assert FormalBase(0, fano=True).bindings() == {}
+    fano = FormalBase(3, fano=True)
+    assert fano.bindings() == {"L": fano.chern_symbol(1)}
+    assert FormalBase(3).bindings() == {}
+    assert ProjectiveSpaceBase(3).bindings() == {}
+    p3 = ProjectiveSpaceBase(3, multiple=4)
+    assert p3.bindings() == {"L": 4 * p3.hyperplane()}
+    assert ProjectiveSpaceBase(3, multiple=2, divisor="h").bindings() == {}
 
 
 def test_a_fano_base_needs_a_divisor():

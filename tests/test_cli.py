@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relchern import (BundleSpec, FormalBase, HypersurfaceSpec, q_class,
-                      to_text)
+from relchern import (BundleSpec, ChowPoly, FormalBase, HypersurfaceSpec,
+                      q_class, to_text)
 from relchern.cli import main
 from tests import golden_cases
 
@@ -145,6 +145,36 @@ def test_push_matches_qclass(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["push", "--config", cfg, "--class", expr])
     assert code == 0
     assert out.strip() == "12*L - 72*L^2 + 432*L^3"
+
+
+def test_a_fano_job_computes_in_c1_from_the_start(tmp_path, capsys,
+                                                  monkeypatch):
+    # the fano binding happens when the job is read: no class is rewritten
+    # after it is computed, and the output is what it always was
+    job = json.loads(WEIERSTRASS_JOB_FILE.read_text(encoding="utf-8"))
+    weierstrass = str(WEIERSTRASS_JOB_FILE)
+    fermat = write_config(tmp_path, dict(CUBIC_FAMILY_DIM2, base=job["base"]))
+    q = "12*c1 - 72*c1^2 + 432*c1^3"
+    cases = [
+        (["qclass", "--config", weierstrass], q),
+        (["euler", "--config", weierstrass], "360*c1^3 + 12*c1*c2"),
+        (["svw", "--config", weierstrass],
+         "codim 1: 12*c1\ncodim 2: -60*c1^2\ncodim 3: 360*c1^3 + 12*c1*c2"),
+        (["push", "--config", weierstrass, "--class",
+          "(1+H)*(1+H+2*L)*(1+H+3*L)*(3*H+6*L)/(1+3*H+6*L)"], q),
+        (["csm-check", "--config", fermat], "EQUAL"),
+    ]
+    docs = [run_cli(capsys, argv + ["--format", "json"]) for argv, _ in cases]
+
+    def refuse(*args):
+        raise AssertionError("a computed class was rewritten")
+
+    monkeypatch.setattr(FormalBase, "apply_binding", refuse)
+    monkeypatch.setattr(ChowPoly, "rewrite", refuse)
+    for (argv, text), doc in zip(cases, docs):
+        assert run_cli(capsys, argv) == (0, text + "\n", "")
+        assert run_cli(capsys, argv + ["--format", "json"]) == doc
+        assert doc[0] == 0 and '"L"' not in doc[1]
 
 
 def test_push_simple_powers(tmp_path, capsys):
@@ -542,6 +572,45 @@ def test_usage_errors_keep_the_json_contract(capsys, options):
     assert error["exit_code"] == 2
     assert "usage: relchern" in captured.err
     assert f"relchern: error: {error['message']}" in captured.err
+
+
+def json_job(tmp_path):
+    payload = json.loads(WEIERSTRASS_JOB_FILE.read_text(encoding="utf-8"))
+    payload["format"] = "json"
+    return write_config(tmp_path, payload)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("options", [
+    ["--trunc", "x"],
+    ["--bogus"],
+    ["--trunc"],
+], ids=["invalid-value", "unknown-option", "missing-value"])
+def test_usage_errors_read_the_format_from_the_job(tmp_path, capsys,
+                                                   monkeypatch, source, options):
+    cfg = json_job(tmp_path)
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO(pathlib.Path(cfg).read_text("utf-8")))
+        cfg = "-"
+    with pytest.raises(SystemExit) as exc:
+        main(["qclass", "--config", cfg] + options)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert (error["exit_code"], error["type"]) == (2, "UsageError")
+    assert f"relchern: error: {error['message']}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "text", "--trunc", "x"],
+    ["--config", "no-such-job.json", "--trunc", "x"],
+], ids=["command-line-format", "unreadable-job"])
+def test_usage_errors_in_text_print_nothing_on_stdout(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["qclass", "--config", json_job(tmp_path)] + argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", ["qclass", "euler", "svw", "epoly"])

@@ -396,6 +396,8 @@ def test_proj_class_algebra():
     assert y / (1 + y) == y * (1 + y).inverse()
     assert (H - H).is_zero()
     assert (H ** 2).coeff(2) == 1 and (H ** 2).coeff(1) == 0
+    # a bool is not an exact rational, so it equals no class
+    assert (ProjClass.constant(bundle, 1) == True) is False  # noqa: E712
 
 
 def test_proj_class_length_cap():
