@@ -151,21 +151,20 @@ def specialize(cls, base):
     """Map a formal-base class into projective space.
 
     Chern symbols ``c_i`` become the Chern components of projective space,
-    the bound divisor becomes its multiple of ``h``, and the result is
-    truncated at the target dimension.  Any other surviving symbol raises
+    the bound divisor becomes its class in :meth:`ProjectiveSpaceBase.bindings`
+    (``h`` is never rebound), and the result is truncated at the target
+    dimension.  An unbound divisor, or any other surviving symbol, raises
     :class:`SpecializationError`.
     """
     if not isinstance(base, ProjectiveSpaceBase):
         raise TypeError("specialize targets a ProjectiveSpaceBase")
-    mapping = {}
+    mapping = {"h": base.hyperplane(), **base.bindings()}
     for name in cls.symbols_used():
         match = _CHERN_RE.match(name)
         if match:
             mapping[name] = base.chern_component(int(match.group(1)))
-        elif name == base.divisor:
-            mapping[name] = base.divisor_class()
-        elif name == "h":
-            mapping[name] = base.hyperplane()
-        else:
+        elif name == base.divisor and name not in mapping:
+            base.divisor_class()  # unbound, so this raises
+        elif name not in mapping:
             raise SpecializationError(f"cannot specialize symbol {name!r}")
     return cls.rewrite(mapping, base.ring)

@@ -9,7 +9,9 @@ of the total space, the Sethi-Vafa-Witten formula.
 
 ``Q`` is computed three ways.  :func:`q_class` pushes :func:`alpha_class`
 forward by the series route; :func:`q_class_display` reduces it by the
-Grothendieck relation.  :func:`q_rational` needs no pushforward: with
+Grothendieck relation.  The two share one build of the class: it is made
+once per spec, one linear factor in ``H`` at a time, and kept on the spec.
+:func:`q_rational` needs no pushforward: with
 ``M_j`` the roots (multiplicities ``m_j``, ``r`` in all) and
 ``y = d*H + beta``, ``Q`` is the sum of the residues at ``H = -M_j`` of
 ``g = prod ((1 + H + M_j) / (H + M_j))^m_j * y / (1 + y)``.  By the residue
@@ -38,7 +40,8 @@ import math
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
 from .pushforward import (BundleSpec, ProjClass, normalize_twist,
                           pushforward_series)
-from .ring import ChowError, ContextError, _Frozen, _is_int, expand_ratio
+from .ring import (_FIELD, ChowError, ContextError, _by_degree, _Frozen,
+                   _is_int, _mul_into, expand_ratio)
 
 
 class UnsupportedDegreeError(ChowError):
@@ -46,9 +49,15 @@ class UnsupportedDegreeError(ChowError):
 
 
 class HypersurfaceSpec:
-    """A hypersurface of class ``degree*H + beta`` in a projectivization."""
+    """A hypersurface of class ``degree*H + beta`` in a projectivization.
 
-    __slots__ = ("degree", "beta", "bundle")
+    The fields are fixed at construction.  The private slot ``_alpha`` keeps
+    :func:`alpha_class` once built; equality, ``repr`` and copies ignore it.
+    """
+
+    __slots__ = ("degree", "beta", "bundle", "_alpha")
+    __setattr__ = _Frozen.__setattr__
+    __delattr__ = _Frozen.__delattr__
 
     def __init__(self, degree, beta, bundle):
         if not _is_int(degree) or degree < 0:
@@ -58,9 +67,7 @@ class HypersurfaceSpec:
         beta = bundle.ring.convert(beta)
         if not (beta.is_zero() or beta.is_homogeneous(1)):
             raise ValueError("beta must be zero or homogeneous of codimension 1")
-        self.degree = degree
-        self.beta = beta
-        self.bundle = bundle
+        _Frozen._set(self, degree, beta, bundle, None)
 
     @classmethod
     def from_roots(cls, degree, beta, roots):
@@ -83,6 +90,9 @@ class HypersurfaceSpec:
     def __repr__(self):
         return f"HypersurfaceSpec({self.degree}*H + {self.beta} in {self.bundle!r})"
 
+    def __reduce__(self):
+        return HypersurfaceSpec, (self.degree, self.beta, self.bundle)
+
 
 def alpha_class(hyp):
     """The class on the projectivization whose pushforward is ``Q``.
@@ -90,18 +100,33 @@ def alpha_class(hyp):
     Writing ``y`` for the hypersurface class, this is
     ``(1 + H)^k0 * prod (1 + H + L_i)^ki * y / (1 + y)``: the total Chern
     class of the ambient relative tangent bundle times the adjunction
-    factor of the hypersurface.
+    factor of the hypersurface.  It is built once per spec and kept there
+    (no route changes a class it is given), one factor ``c + h*H`` at a
+    time: the ``H**k`` coefficient ``a_k`` becomes ``c*a_k + h*a_(k-1)``.
     """
+    if hyp._alpha is not None:
+        return hyp._alpha
     bundle = hyp.bundle
-    one = ProjClass.constant(bundle, 1)
-    H = ProjClass.hyperplane(bundle)
-    out = one
-    for form, mult in bundle.roots:
-        out = out * (one + H + ProjClass.from_base(bundle, form)) ** mult
-    y = hyp.divisor_class()
-    if y.is_zero():
-        return y
-    return out * y / (one + y)
+    ring = bundle.ring
+    dmax = bundle.ambient_dim
+    one, beta, d = ring.one, hyp.beta, hyp.degree
+    coeffs = [{0: 1}]  # term maps of the H^k coefficients
+    # the roots' factors, then y = beta + d*H, then divide by (1 + beta) + d*H
+    factors = [(one + form, 1, mult) for form, mult in bundle.roots]
+    for c, h, mult in factors + [(beta, d, 1)]:
+        c = _by_degree(c._terms)
+        for _ in range(mult):
+            prev, coeffs = coeffs, []
+            for k in range(min(len(prev), dmax) + 1):
+                limit = min(ring.bound, dmax - k)
+                a = ({key: h * v for key, v in prev[k - 1].items()
+                      if key & _FIELD <= limit} if k and h else {})
+                if k < len(prev):
+                    _mul_into(a, prev[k], c, limit)
+                coeffs.append(a)
+    alpha = ProjClass._quotient(bundle, coeffs, (one + beta, ring.const(d)))
+    object.__setattr__(hyp, "_alpha", alpha)
+    return alpha
 
 
 def q_class(hyp):

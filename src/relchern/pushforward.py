@@ -131,6 +131,13 @@ class BundleSpec:
         return f"BundleSpec[{body}]"
 
 
+def _negated_table(coeffs):
+    """``(k, -coeffs[k])`` for each nonzero coefficient after the first, in
+    the form :func:`_mul_into` takes."""
+    return [(k, _by_degree({key: -c for key, c in u._terms.items()}))
+            for k, u in enumerate(coeffs) if k and u]
+
+
 class ProjClass:
     """A class on the projectivization: a polynomial in ``H`` whose
     coefficients live in the base ring.
@@ -160,6 +167,29 @@ class ProjClass:
         out = object.__new__(cls)
         out._store(bundle, coeffs)
         return out
+
+    @classmethod
+    def _quotient(cls, bundle, num, den):
+        # num / den: num lists the term maps of the H^n coefficients, den the
+        # classes u_k of the base ring, with u_0 of constant term 1.  The
+        # quotient z is found coefficient by coefficient in H:
+        # z_n = (a_n - sum_(k >= 1) u_k z_(n-k)) / u_0, each truncated at the
+        # codimension H^n leaves room for, and the division by u_0 is
+        # _divide_unit
+        ring = bundle.ring
+        dmax = bundle.ambient_dim
+        tail = {key: c for key, c in den[0]._terms.items() if key}
+        negated = _negated_table(den)
+        quotient = []
+        for n in range(dmax + 1):
+            limit = min(ring.bound, dmax - n)
+            z = dict(num[n]) if n < len(num) else {}
+            for k, u in negated:
+                if k > n:
+                    break
+                _mul_into(z, quotient[n - k], u, limit)
+            quotient.append(_divide_unit(z, tail, limit))
+        return cls._normalized(bundle, [ChowPoly(ring, z) for z in quotient])
 
     @classmethod
     def constant(cls, bundle, value):
@@ -242,33 +272,14 @@ class ProjClass:
     @_coerced
     def __truediv__(self, other):
         """Division by a nonzero rational constant, or exact division by a
-        class ``u`` with constant term 1, a unit of the truncated ring.
-
-        The quotient ``z`` is found coefficient by coefficient in ``H``:
-        ``z_n = (a_n - sum_(k >= 1) u_k z_(n-k)) / u_0``, each truncated at
-        the codimension ``H**n`` leaves room for, and the division by
-        ``u_0`` is :func:`_divide_unit`.
-        """
+        class with constant term 1, a unit of the truncated ring
+        (:meth:`_quotient`)."""
         if len(other.coeffs) <= 1 and other.coeff(0).is_constant():
             return self * Fraction(1, _nonzero_rational(other.constant_term()))
         if other.constant_term() != 1:
             raise NonUnitError("division requires a denominator with constant term 1")
-        ring = self.bundle.ring
-        dmax = self.bundle.ambient_dim
-        tail = {key: c for key, c in other.coeffs[0]._terms.items() if key}
-        negated = [(k, _by_degree({key: -c for key, c in u._terms.items()}))
-                   for k, u in enumerate(other.coeffs) if k and u]
-        quotient = []
-        for n in range(dmax + 1):
-            limit = min(ring.bound, dmax - n)
-            num = dict(self.coeff(n)._terms)
-            for k, u in negated:
-                if k > n:
-                    break
-                _mul_into(num, quotient[n - k], u, limit)
-            quotient.append(_divide_unit(num, tail, limit))
-        return ProjClass._normalized(self.bundle,
-                                     [ChowPoly(ring, z) for z in quotient])
+        return ProjClass._quotient(self.bundle, [a._terms for a in self.coeffs],
+                                   other.coeffs)
 
     @_coerced
     def __rtruediv__(self, other):
@@ -301,9 +312,7 @@ class ProjClass:
         bundle = self.bundle
         ring = bundle.ring
         rank = bundle.rank
-        chern = bundle.total_chern().components()[1:rank + 1]
-        negated = [(k, _by_degree({key: -c for key, c in ck._terms.items()}))
-                   for k, ck in enumerate(chern, 1) if ck]
+        negated = _negated_table(bundle.total_chern().components()[:rank + 1])
         out = [dict(a._terms) for a in self.coeffs]
         for n in range(len(out) - 1, rank - 1, -1):
             for k, ck in negated:

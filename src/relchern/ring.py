@@ -141,7 +141,7 @@ class ChowRing:
     """
 
     __slots__ = ("bound", "symbols", "formal", "_degrees", "_formal_set",
-                 "_shift", "_unit", "_guard", "_factors")
+                 "_shift", "_unit", "_guard", "_factors", "_by_field")
 
     def __init__(self, symbols, bound, formal=()):
         if not _is_int(bound) or not 0 <= bound <= _MAX_EXP:
@@ -168,6 +168,9 @@ class ChowRing:
                       + (1 << self._shift[name]) for name in order}
         self._guard = sum(1 << (self._shift[name] + _BITS - 1) for name in formal)
         self._factors = {}  # (name, exp) -> one shared tuple, see _decode
+        # field i + 1: its name, its degree and its exponent's shift in a rank
+        self._by_field = [(name, degrees[name], _BITS * (len(order) - i - 1))
+                          for i, name in enumerate(order)]
 
     def __eq__(self, other):
         if not isinstance(other, ChowRing):
@@ -263,21 +266,21 @@ class ChowRing:
     def _decode(self, key):
         """``(rank, ((name, exp), ...))`` of a packed key.  Ranks sort keys in
         canonical order: total degree, then exponents in field order, larger first.
-        Equal factors share one tuple, since values keep their decoded terms."""
+        Equal factors share one tuple, since values keep their decoded terms.
+        Only the nonzero fields are visited: each step jumps to the field of
+        the lowest set bit."""
         mono = []
         degree = rank = 0
-        top = _BITS * len(self._shift)
         key >>= _BITS
-        for name, shift in self._shift.items():
-            if not key:
-                break
-            e = key & _FIELD
-            if e:
-                degree += e * self._degrees[name]
-                rank -= e << (top - shift)
-                factor = (name, e)
-                mono.append(self._factors.setdefault(factor, factor))
-            key >>= _BITS
+        while key:
+            i = ((key & -key).bit_length() - 1) // _BITS
+            e = key >> _BITS * i & _FIELD
+            key -= e << _BITS * i
+            name, weight, shift = self._by_field[i]
+            degree += e * weight
+            rank -= e << shift
+            factor = (name, e)
+            mono.append(self._factors.setdefault(factor, factor))
         return (degree, rank), tuple(mono)
 
     def _finish(self, terms):

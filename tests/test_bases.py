@@ -68,8 +68,23 @@ def test_specialize_unknown_symbol():
     p2 = ProjectiveSpaceBase(2, multiple=3)
     with pytest.raises(SpecializationError):
         specialize(base.divisor("M"), p2)
-    with pytest.raises(SpecializationError):
+    with pytest.raises(SpecializationError,
+                       match="divisor 'L' has no bound multiple of h"):
         specialize(base.divisor("L"), ProjectiveSpaceBase(2))
+
+
+def test_specialize_reads_the_divisor_from_bindings(monkeypatch):
+    p3 = ProjectiveSpaceBase(3, multiple=4)
+    h = p3.hyperplane()
+    L = FormalBase(3).divisor()
+    monkeypatch.setattr(ProjectiveSpaceBase, "bindings",
+                        lambda self: {"L": 5 * self.hyperplane()})
+    assert specialize(L ** 2, p3) == 25 * h ** 2
+    monkeypatch.undo()
+    assert specialize(L ** 2, p3) == 16 * h ** 2
+    # h is never rebound, even when it is the named divisor
+    on_h = FormalBase(3, divisors=("h",)).divisor()
+    assert specialize(on_h, ProjectiveSpaceBase(3, multiple=2, divisor="h")) == h
 
 
 def test_specialize_is_ring_homomorphism():

@@ -1,6 +1,8 @@
 """Hypersurface fibrations: Q classes, Euler characteristics, strata."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -107,6 +109,45 @@ def test_alpha_empty_hypersurface():
     hyp = HypersurfaceSpec(0, base.ring.zero, bundle)
     assert alpha_class(hyp).is_zero()
     assert q_class(hyp) == 0
+
+
+def test_alpha_class_is_built_once_and_no_route_changes_it():
+    cases = [hyp for _, _, hyp in golden_cases.anchors()]
+    cases += [weierstrass(FormalBase(dim)) for dim in (0, 12, 60)]
+    for hyp in cases:
+        alpha = alpha_class(hyp)
+        assert alpha_class(hyp) is alpha
+        before = [dict(c._terms) for c in alpha.coeffs]
+        q = q_class(hyp)
+        assert q_class_display(hyp) == q
+        assert alpha.reduce().coeff(hyp.bundle.fiber_dim) == q
+        if hyp.bundle.ring.bound <= 12:
+            assert pushforward_closed_form(alpha) == q
+        assert alpha_class(hyp) is alpha
+        assert [c._terms for c in alpha.coeffs] == before, hyp
+
+
+def test_hypersurface_spec_fields_are_fixed():
+    hyp = weierstrass(FormalBase(3))
+    for name in ("degree", "beta", "bundle", "_alpha"):
+        with pytest.raises(AttributeError):
+            setattr(hyp, name, getattr(hyp, name))
+        with pytest.raises(AttributeError):
+            delattr(hyp, name)
+    with pytest.raises(AttributeError):
+        hyp.extra = 0
+    assert hyp == weierstrass(FormalBase(3))
+
+
+def test_spec_equality_repr_and_copies_ignore_the_cached_class():
+    hyp, twin = weierstrass(FormalBase(4)), weierstrass(FormalBase(4))
+    text = repr(hyp)
+    alpha = alpha_class(hyp)
+    assert hyp == twin and twin == hyp and repr(hyp) == repr(twin) == text
+    assert hyp != weierstrass(FormalBase(5))
+    for copied in (copy.copy(hyp), pickle.loads(pickle.dumps(hyp))):
+        assert copied == hyp and repr(copied) == text
+        assert alpha_class(copied) == alpha and alpha_class(copied) is not alpha
 
 
 # -- Q ----------------------------------------------------------------------

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relchern import (ChowError, ChowPoly, ChowRing, HypersurfaceSpec,
-                      NonUnitError, ProjClass, Symbol, alpha_class, class_to_json,
-                      expand_ratio, pushforward_closed_form, pushforward_series,
-                      to_latex)
+from relchern import (BundleSpec, ChowError, ChowPoly, ChowRing, FormalBase,
+                      HypersurfaceSpec, NonUnitError, ProjClass, Symbol,
+                      alpha_class, class_to_json, expand_ratio,
+                      pushforward_closed_form, pushforward_series, to_latex)
 from relchern.pushforward import _exact_linear_quotient
+from relchern.ring import _BITS, _FIELD, _MAX_EXP
 from relchern.render import rational_json
 from tests.randgen import (random_bundle, random_form, random_poly,
                            random_rational, random_setup)
@@ -198,6 +199,19 @@ def test_projclass_division_by_a_unit_matches_the_geometric_series(seed):
             assert_exact(c)
 
 
+def generic_alpha(hyp):
+    """``prod (1 + H + M_j)^m_j * y / (1 + y)`` in generic ``ProjClass``
+    arithmetic, with the inverse from the geometric series."""
+    bundle = hyp.bundle
+    one = ProjClass.constant(bundle, 1)
+    H = ProjClass.hyperplane(bundle)
+    chern = one
+    for form, mult in bundle.roots:
+        chern = chern * (one + H + ProjClass.from_base(bundle, form)) ** mult
+    y = hyp.divisor_class()
+    return chern * y * reference_inverse(1 + y)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_alpha_class_matches_the_geometric_series(seed):
@@ -205,13 +219,32 @@ def test_alpha_class_matches_the_geometric_series(seed):
     _, bundle, _ = random_setup(rng)
     hyp = HypersurfaceSpec(rng.randint(0, 4), random_form(rng, bundle.ring, False),
                            bundle)
-    one = ProjClass.constant(bundle, 1)
-    H = ProjClass.hyperplane(bundle)
-    chern = one
-    for form, mult in bundle.roots:
-        chern = chern * (one + H + ProjClass.from_base(bundle, form)) ** mult
-    y = hyp.divisor_class()
-    assert alpha_class(hyp) == chern * y * reference_inverse(1 + y)
+    assert alpha_class(hyp) == generic_alpha(hyp)
+
+
+def alpha_cases():
+    """Hypersurfaces at the edges of the linear-factor build: multiplicity 3
+    or more, degree 0 with and without ``beta``, base dims 0, 1 and 60."""
+    for dim in (0, 1, 4, 60):
+        ring = FormalBase(dim, divisors=("L", "M")).ring
+        L, M, zero = ring.sym("L"), ring.sym("M"), ring.zero
+        bundles = [BundleSpec([(zero, 1), (2 * L, 1), (3 * L, 1)]),
+                   BundleSpec([(zero, 1), (L, 3)]),
+                   BundleSpec([(zero, 3), (L - M, 1), (M, 2)])]
+        for bundle in bundles if dim < 60 else bundles[:2]:
+            for degree, beta in ((3, 6 * L), (2, L - 2 * M), (1, zero),
+                                 (0, 2 * L - M), (0, zero)):
+                yield dim, HypersurfaceSpec(degree, beta, bundle)
+
+
+def test_alpha_class_from_linear_factors_matches_the_generic_product():
+    for dim, hyp in alpha_cases():
+        alpha = alpha_class(hyp)
+        assert alpha == generic_alpha(hyp), (dim, hyp)
+        for c in alpha.coeffs:
+            assert_exact(c)
+        if hyp.degree == 0 and hyp.beta.is_zero():
+            assert alpha.is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,3 +386,33 @@ def test_json_matches_the_per_piece_construction(v):
     # not towards codimension, so the canonical order interleaves the pieces:
     # L*x (degree 2, codim 1) comes before x^3 (degree 3, codim 0)
     assert class_to_json(v) == per_piece_json(v)
+
+
+# -- decoding packed keys --------------------------------------------------
+
+WIDE = ChowRing([Symbol(f"c{i}", i) for i in range(1, 13)]
+                + [Symbol("L"), Symbol("M")], 12, formal=("x", "y"))
+
+
+def reference_decode(ring, key):
+    # every field in order, zero or not
+    mono = []
+    degree = rank = 0
+    top = _BITS * len(ring._shift)
+    for name, shift in ring._shift.items():
+        e = key >> shift & _FIELD
+        if e:
+            degree += e * ring._degrees[name]
+            rank -= e << (top - shift)
+            mono.append((name, e))
+    return (degree, rank), tuple(mono)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(WIDE._shift)),
+                       st.one_of(st.integers(1, 9), st.integers(1, _MAX_EXP)),
+                       max_size=6),
+       st.integers(0, _FIELD))
+def test_decode_visits_the_nonzero_fields_as_a_full_walk_would(exponents, field0):
+    key = field0 + sum(e << WIDE._shift[name] for name, e in exponents.items())
+    assert WIDE._decode(key) == reference_decode(WIDE, key)
