@@ -32,7 +32,7 @@ from .expressions import evaluate, parse_class_expr
 from .fibration import (FermatFamily, HypersurfaceSpec, UnsupportedDegreeError,
                         euler_characteristic, q_rational, relative_chern_class,
                         smooth_hypersurface_euler, svw_components)
-from .pushforward import ProjClass, normalize_twist, pushforward_series
+from .pushforward import ProjClass, _twist, pushforward_series
 from .render import all_digits, class_to_json, to_latex, to_text
 from .ring import ChowError, _is_int, expand_ratio
 
@@ -228,14 +228,13 @@ def _run(cfg):
     if command == "push":
         _require(isinstance(cfg["class"], str) and cfg["class"].strip(),
                  "push needs a class expression (--class or config 'class')")
-        # the expression is written in the untwisted hyperplane class
-        bundle, untwisted_h = normalize_twist(_build_roots(cfg, base),
-                                              [base.ring.zero, base.ring.one])
+        # the expression's H is the untwisted hyperplane class, H - M_0 here
+        bundle, m0 = _twist(_build_roots(cfg, base))
         names = {s.name: base.ring.sym(s.name) for s in base.ring.symbols}
         names.update(base.bindings())
         env = {name: ProjClass.from_base(bundle, cls)
                for name, cls in names.items()}
-        env["H"] = untwisted_h
+        env["H"] = ProjClass.hyperplane(bundle) - m0
         tree = parse_class_expr(cfg["class"])
         value = evaluate(tree, env, lambda v: ProjClass.constant(bundle, v))
         pushed = pushforward_series(value)
@@ -272,7 +271,7 @@ def _run(cfg):
     if command == "csm-check":
         family = _family_from(hyp, base)
         left = family.chern_by_strata(base)
-        right = relative_chern_class(family.hypersurface(base), base)
+        right = relative_chern_class(hyp, base)
         equal = left == right
         doc["result"] = {"equal": equal}
         if equal:

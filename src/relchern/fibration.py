@@ -10,7 +10,8 @@ of the total space, the Sethi-Vafa-Witten formula.
 ``Q`` is computed three ways.  :func:`q_class` pushes :func:`alpha_class`
 forward by the series route; :func:`q_class_display` reduces it by the
 Grothendieck relation.  The two share one build of the class: it is made
-once per spec, one linear factor in ``H`` at a time, and kept on the spec.
+once per spec, one linear factor in ``H`` at a time through the product
+that every class on the projectivization uses, and kept on the spec.
 :func:`q_rational` needs no pushforward: with
 ``M_j`` the roots (multiplicities ``m_j``, ``r`` in all) and
 ``y = d*H + beta``, ``Q`` is the sum of the residues at ``H = -M_j`` of
@@ -38,10 +39,9 @@ from __future__ import annotations
 import math
 
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
-from .pushforward import (BundleSpec, ProjClass, normalize_twist,
+from .pushforward import (BundleSpec, ProjClass, _product, _twist,
                           pushforward_series)
-from .ring import (_FIELD, ChowError, ContextError, _by_degree, _Frozen,
-                   _is_int, _mul_into, expand_ratio)
+from .ring import ChowError, ContextError, _Frozen, _is_int, expand_ratio
 
 
 class UnsupportedDegreeError(ChowError):
@@ -73,9 +73,9 @@ class HypersurfaceSpec:
     def from_roots(cls, degree, beta, roots):
         """Build from an untwisted root list; ``beta`` is adjusted by the
         twist that makes the first root vanish."""
-        # twisting rewrites beta + degree*H; its H^0 coefficient is the new beta
-        bundle, y = normalize_twist(roots, [beta, degree])
-        return cls(degree, y.coeff(0), bundle)
+        # beta + degree*H, with H read as H - M_0, is beta - degree*M_0 + degree*H
+        bundle, m0 = _twist(roots)
+        return cls(degree, bundle.ring.convert(beta) - degree * m0, bundle)
 
     def divisor_class(self):
         H = ProjClass.hyperplane(self.bundle)
@@ -101,30 +101,20 @@ def alpha_class(hyp):
     ``(1 + H)^k0 * prod (1 + H + L_i)^ki * y / (1 + y)``: the total Chern
     class of the ambient relative tangent bundle times the adjunction
     factor of the hypersurface.  It is built once per spec and kept there
-    (no route changes a class it is given), one factor ``c + h*H`` at a
-    time: the ``H**k`` coefficient ``a_k`` becomes ``c*a_k + h*a_(k-1)``.
+    (no route changes a class it is given), one linear factor in ``H`` at a
+    time through the product that :class:`ProjClass` multiplies with, and
+    then divided by ``1 + y`` through :meth:`ProjClass._quotient`.
     """
     if hyp._alpha is not None:
         return hyp._alpha
-    bundle = hyp.bundle
-    ring = bundle.ring
-    dmax = bundle.ambient_dim
-    one, beta, d = ring.one, hyp.beta, hyp.degree
+    bundle, ring = hyp.bundle, hyp.bundle.ring
+    one, beta, d = ring.one, hyp.beta, ring.const(hyp.degree)
     coeffs = [{0: 1}]  # term maps of the H^k coefficients
-    # the roots' factors, then y = beta + d*H, then divide by (1 + beta) + d*H
-    factors = [(one + form, 1, mult) for form, mult in bundle.roots]
-    for c, h, mult in factors + [(beta, d, 1)]:
-        c = _by_degree(c._terms)
+    for form, mult in bundle.roots:
         for _ in range(mult):
-            prev, coeffs = coeffs, []
-            for k in range(min(len(prev), dmax) + 1):
-                limit = min(ring.bound, dmax - k)
-                a = ({key: h * v for key, v in prev[k - 1].items()
-                      if key & _FIELD <= limit} if k and h else {})
-                if k < len(prev):
-                    _mul_into(a, prev[k], c, limit)
-                coeffs.append(a)
-    alpha = ProjClass._quotient(bundle, coeffs, (one + beta, ring.const(d)))
+            coeffs = _product(bundle, coeffs, (one + form, one))
+    coeffs = _product(bundle, coeffs, (beta, d))
+    alpha = ProjClass._quotient(bundle, coeffs, (one + beta, d))
     object.__setattr__(hyp, "_alpha", alpha)
     return alpha
 

@@ -138,6 +138,20 @@ def _negated_table(coeffs):
             for k, u in enumerate(coeffs) if k and u]
 
 
+def _product(bundle, left, right):
+    """Term maps of the ``H**k`` coefficients of ``left * right`` on the
+    projectivization; ``left`` lists term maps, ``right`` base classes."""
+    bound, dmax = bundle.ring.bound, bundle.ambient_dim
+    # widths m and n reach only the slots H^0 .. H^(m + n - 2)
+    out = [{} for _ in range(min(dmax + 1, len(left) + len(right) - 1))]
+    right = [_by_degree(b._terms) for b in right]
+    for i, a in enumerate(left):
+        for j, b in enumerate(right[:dmax + 1 - i]):
+            # the H^(i+j) coefficient keeps codimension <= dmax - i - j
+            _mul_into(out[i + j], a, b, min(bound, dmax - i - j))
+    return out
+
+
 class ProjClass:
     """A class on the projectivization: a polynomial in ``H`` whose
     coefficients live in the base ring.
@@ -246,18 +260,9 @@ class ProjClass:
 
     @_coerced
     def __mul__(self, other):
-        ring = self.bundle.ring
-        dmax = self.bundle.ambient_dim
-        # widths m and n reach only the slots H^0 .. H^(m + n - 2)
-        out = [{} for _ in range(min(dmax + 1,
-                                     len(self.coeffs) + len(other.coeffs) - 1))]
-        right = [_by_degree(b._terms) for b in other.coeffs]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(right[:dmax + 1 - i]):
-                # the H^(i+j) coefficient keeps codimension <= dmax - i - j
-                _mul_into(out[i + j], a._terms, b, min(ring.bound, dmax - i - j))
+        out = _product(self.bundle, [a._terms for a in self.coeffs], other.coeffs)
         return ProjClass._normalized(self.bundle,
-                                     [ring._finish(terms) for terms in out])
+                                     [self.bundle.ring._finish(t) for t in out])
 
     __rmul__ = __mul__
 
@@ -335,6 +340,13 @@ class ProjClass:
         return f"ProjClass({self})"
 
 
+def _twist(roots):
+    """The bundle of the roots ``M_i - M_0``, and the first root ``M_0``."""
+    entries, _ = _root_entries(roots)
+    m0 = entries[0][0]
+    return BundleSpec([(form - m0, mult) for form, mult in entries]), m0
+
+
 def normalize_twist(roots, cls=None):
     """Twist so the first listed root becomes zero.
 
@@ -343,9 +355,7 @@ def normalize_twist(roots, cls=None):
     invariant under this change of presentation.  Returns the normalized
     ``BundleSpec`` together with the transformed class (or ``None``).
     """
-    entries, _ = _root_entries(roots)
-    m0 = entries[0][0]
-    bundle = BundleSpec([(form - m0, mult) for form, mult in entries])
+    bundle, m0 = _twist(roots)
     if cls is None:
         return bundle, None
     coeffs = cls.coeffs if isinstance(cls, ProjClass) else cls

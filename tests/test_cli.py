@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relchern import (BundleSpec, ChowPoly, FormalBase, HypersurfaceSpec,
-                      q_class, to_text)
+                      ProjClass, q_class, to_text)
 from relchern.cli import main
 from tests import golden_cases
 
@@ -175,6 +175,63 @@ def test_a_fano_job_computes_in_c1_from_the_start(tmp_path, capsys,
         assert run_cli(capsys, argv) == (0, text + "\n", "")
         assert run_cli(capsys, argv + ["--format", "json"]) == doc
         assert doc[0] == 0 and '"L"' not in doc[1]
+
+
+# the same job twice: roots L, 3L, 4L (twice) with beta 9L, and the same
+# roots and beta after the twist by the first root, 0, 2L, 3L (twice) and 6L
+UNTWISTED = {
+    "base": {"kind": "formal", "dim": 5},
+    "bundle": {"roots": [{"form": {"L": 1}}, {"form": {"L": 3}},
+                         {"form": {"L": 4}, "mult": 2}]},
+    "hypersurface": {"degree": 3, "beta": {"L": 9}},
+}
+PRE_TWISTED = {
+    "base": {"kind": "formal", "dim": 5},
+    "bundle": {"roots": [{"form": {}}, {"form": {"L": 2}},
+                         {"form": {"L": 3}, "mult": 2}]},
+    "hypersurface": {"degree": 3, "beta": {"L": 6}},
+}
+UNTWISTED_CLASS = "H^4 + L*H^3/(1+H)"
+PRE_TWISTED_CLASS = "(H-L)^4 + L*(H-L)^3/(1+H-L)"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_job_with_a_nonzero_first_root_matches_its_twist(tmp_path, capsys,
+                                                           fmt):
+    untwisted = write_config(tmp_path, UNTWISTED, "untwisted.json")
+    twisted = write_config(tmp_path, PRE_TWISTED, "twisted.json")
+    for command in ("qclass", "euler", "svw", "epoly"):
+        result = run_cli(capsys, [command, "--config", untwisted, "--format", fmt])
+        assert result[0] == 0
+        assert result == run_cli(capsys, [command, "--config", twisted,
+                                          "--format", fmt])
+    result = run_cli(capsys, ["push", "--config", untwisted, "--format", fmt,
+                              "--class", UNTWISTED_CLASS])
+    assert result[0] == 0 and result[1].strip() not in ("0", "")
+    assert result == run_cli(capsys, ["push", "--config", twisted, "--format",
+                                      fmt, "--class", PRE_TWISTED_CLASS])
+
+
+def test_the_cli_runs_no_generic_projclass_product_outside_push(tmp_path,
+                                                                capsys,
+                                                                monkeypatch):
+    cfg = write_config(tmp_path, UNTWISTED)
+    argvs = [[command, "--config", cfg] for command in
+             ("qclass", "euler", "svw", "epoly")]
+    push = ["push", "--config", cfg, "--class", UNTWISTED_CLASS]
+    expected = [run_cli(capsys, argv) for argv in argvs + [push]]
+
+    def refuse(*args):
+        raise AssertionError("a generic ProjClass product or shift ran")
+
+    # push evaluates its expression by ProjClass arithmetic, but its H is
+    # twisted without shift_h
+    monkeypatch.setattr(ProjClass, "shift_h", refuse)
+    assert run_cli(capsys, push) == expected[-1]
+    monkeypatch.setattr(ProjClass, "__mul__", refuse)
+    monkeypatch.setattr(ProjClass, "__rmul__", refuse)
+    assert [run_cli(capsys, argv) for argv in argvs] == expected[:-1]
+    assert all(code == 0 for code, _, _ in expected)
 
 
 def test_push_simple_powers(tmp_path, capsys):

@@ -65,6 +65,38 @@ def test_from_roots_twists_beta():
     assert hyp.bundle.nonzero_roots == ((2 * L, 1), (3 * L, 1))
     reference = weierstrass(base)
     assert q_class(hyp) == q_class(reference)
+    # bare roots or (root, multiplicity) pairs, an integer beta, and a beta
+    # from an equal ring built separately
+    ring = base.ring
+    other = FormalBase(3).ring
+    assert other == ring and other is not ring
+    for beta in (9 * L, 9 * other.sym("L")):
+        assert HypersurfaceSpec.from_roots(3, beta, [L, 3 * L, 4 * L]) == reference
+        assert HypersurfaceSpec.from_roots(
+            3, beta, [(L, 1), (3 * L, 1), (4 * L, 1)]) == reference
+    zero_beta = HypersurfaceSpec.from_roots(2, 0, [L, 3 * L])
+    assert zero_beta == HypersurfaceSpec(2, -2 * L, BundleSpec([ring.zero, 2 * L]))
+    assert zero_beta.beta.ring is ring
+
+
+def test_the_q_routes_run_no_generic_projclass_product(monkeypatch):
+    base = FormalBase(4)
+    L = base.ring.sym("L")
+    roots = [L, 3 * L, (4 * L, 2)]
+    expected = HypersurfaceSpec.from_roots(3, 9 * L, roots)
+    alpha = alpha_class(expected)
+    q, q_reduced = q_class(expected), q_class_display(expected)
+
+    def refuse(*args):
+        raise AssertionError("a generic ProjClass product or shift ran")
+
+    for name in ("shift_h", "__mul__", "__rmul__"):
+        monkeypatch.setattr(ProjClass, name, refuse)
+    hyp = HypersurfaceSpec.from_roots(3, 9 * L, roots)
+    assert hyp == expected
+    assert alpha_class(hyp) == alpha
+    assert q_class(hyp) == q == q_reduced
+    assert q_class_display(hyp) == q_reduced
 
 
 # -- alpha ------------------------------------------------------------------
