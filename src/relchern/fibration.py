@@ -39,13 +39,19 @@ from __future__ import annotations
 import math
 
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
-from .pushforward import (BundleSpec, ProjClass, _product, _twist,
-                          pushforward_series)
-from .ring import ChowError, ContextError, _Frozen, _is_int, expand_ratio
+from .pushforward import (BundleSpec, ProjClass, _linear_product, _product,
+                          _twist, pushforward_series)
+from .ring import (ChowError, ContextError, Fraction, _Frozen, _is_int,
+                   expand_ratio)
 
 
 class UnsupportedDegreeError(ChowError):
     """The stratified route needs fiber degree at least 2."""
+
+
+def _check_degree(degree):
+    if not _is_int(degree) or degree < 0:
+        raise ValueError("hypersurface degree must be a nonnegative integer")
 
 
 class HypersurfaceSpec:
@@ -60,8 +66,7 @@ class HypersurfaceSpec:
     __delattr__ = _Frozen.__delattr__
 
     def __init__(self, degree, beta, bundle):
-        if not _is_int(degree) or degree < 0:
-            raise ValueError("hypersurface degree must be a nonnegative integer")
+        _check_degree(degree)
         if not isinstance(bundle, BundleSpec):
             raise TypeError("bundle must be a BundleSpec")
         beta = bundle.ring.convert(beta)
@@ -74,6 +79,7 @@ class HypersurfaceSpec:
         """Build from an untwisted root list; ``beta`` is adjusted by the
         twist that makes the first root vanish."""
         # beta + degree*H, with H read as H - M_0, is beta - degree*M_0 + degree*H
+        _check_degree(degree)
         bundle, m0 = _twist(roots)
         return cls(degree, bundle.ring.convert(beta) - degree * m0, bundle)
 
@@ -128,20 +134,37 @@ def q_rational(hyp):
     """``Q`` as a ratio ``(N, D)`` of classes of the base ring, from the
     residue theorem (see the module docstring), with no pushforward.
 
-    For ``d >= 1``, ``D = prod (1 + beta - d*M_j)^m_j`` and
-    ``N = ((d*r - 1) D + prod (1 + beta - d - d*M_j)^m_j) / d``, of degree
-    at most ``r``; for ``d = 0``, ``N = r*beta`` and ``D = 1 + beta``.
-    ``expand_ratio(N, D)`` equals :func:`q_class`.
+    For ``d >= 1``, ``D = prod (1 + beta - d*M_j)^m_j``,
+    ``S = prod (1 - d + beta - d*M_j)^m_j`` and ``N = r*D + (S - D)/d``, of
+    degree at most ``r``; for ``d = 0``, ``N = r*beta`` and
+    ``D = 1 + beta``.  ``expand_ratio(N, D)`` equals :func:`q_class`.
+
+    ``S`` and ``D`` differ only in the constant of each factor, by ``d``, so
+    ``S - D`` is divisible by ``d`` when the roots and ``beta`` are
+    integral, and then ``N`` is integral too.  ``D``, ``S`` and ``N`` are
+    built on term maps (:func:`~relchern.pushforward._linear_product`); an
+    integral coefficient of ``S - D`` is divided by ``d`` as an ``int``.
     """
-    one, beta, d = hyp.bundle.ring.one, hyp.beta, hyp.degree
+    ring, beta, d = hyp.bundle.ring, hyp.beta, hyp.degree
     rank = hyp.bundle.rank
     if d == 0:
-        return rank * beta, one + beta
-    den = shifted = one
+        return rank * beta, ring.one + beta
+    forms = []  # the term map of beta - d*M_j, and m_j
     for form, mult in hyp.bundle.roots:
-        den = den * (one + beta - d * form) ** mult
-        shifted = shifted * (one + beta - d - d * form) ** mult
-    return ((d * rank - 1) * den + shifted) / d, den
+        linear = dict(beta._terms)
+        for key, c in form._terms.items():
+            linear[key] = linear.get(key, 0) - d * c
+        forms.append(({key: c for key, c in linear.items() if c}, mult))
+    den = _linear_product(ring, [(1, form, mult) for form, mult in forms])
+    shifted = _linear_product(ring, [(1 - d, form, mult) for form, mult in forms])
+    diff = dict(shifted)  # S - D
+    for key, c in den.items():
+        diff[key] = diff.get(key, 0) - c
+    num = {}
+    for key, c in diff.items():
+        c = c // d if c.__class__ is int and not c % d else Fraction(c, d)
+        num[key] = rank * den.get(key, 0) + c
+    return ring._finish(num), ring._finish(den)
 
 
 def q_class_display(hyp):
@@ -199,8 +222,7 @@ def smooth_hypersurface_euler(n, d):
     projective ``n``-space, as an exact integer."""
     if not _is_int(n) or n < 0:
         raise ValueError("ambient projective dimension must be a nonnegative integer")
-    if not _is_int(d) or d < 0:
-        raise ValueError("hypersurface degree must be a nonnegative integer")
+    _check_degree(d)
     return -sum(math.comb(n + 1, k) * (-d) ** (n - k) for k in range(n))
 
 

@@ -66,6 +66,28 @@ def _root_entries(roots):
     return entries, ring
 
 
+def _linear_product(ring, factors):
+    """The term map of ``prod (c + form)**mult`` over the ``(c, form, mult)``
+    in ``factors``: ``c`` a rational, ``form`` the term map of a class with
+    no constant term.  Each factor multiplies the running map once per unit
+    of ``mult`` through :func:`_mul_into`, so no term above the ring's bound
+    is formed and no value is built.  The map may hold zero coefficients and
+    integral ``Fraction`` ones; ``ring._finish`` drops and converts them."""
+    bound = ring.bound
+    out = {0: 1}
+    for c, form, mult in factors:
+        if not form:
+            scale = c ** mult
+            out = {key: v * scale for key, v in out.items()}
+            continue
+        right = _by_degree({0: c, **form} if c else form)
+        for _ in range(mult):
+            product = {}
+            _mul_into(product, out, right, bound)
+            out = product
+    return out
+
+
 class BundleSpec:
     """Chern roots of a vector bundle, normalized so one root is zero.
 
@@ -116,10 +138,8 @@ class BundleSpec:
         return self.roots[1:]
 
     def total_chern(self):
-        out = self.ring.one
-        for form, mult in self.roots:
-            out = out * (self.ring.one + form) ** mult
-        return out
+        return self.ring._finish(_linear_product(
+            self.ring, [(1, form._terms, mult) for form, mult in self.roots]))
 
     def __eq__(self, other):
         if not isinstance(other, BundleSpec):
@@ -388,10 +408,12 @@ def pushforward_power(bundle, exponent):
 def pushforward_series(cls):
     """Pushforward by the projection formula, as in :func:`pushforward_power`."""
     bundle = cls.bundle
+    ring = bundle.ring
     pieces = inverse_total_chern(bundle).components()
-    return sum((a * piece
-                for a, piece in zip(cls.coeffs[bundle.fiber_dim:], pieces)),
-               bundle.ring.zero)
+    out = {}
+    for a, piece in zip(cls.coeffs[bundle.fiber_dim:], pieces):
+        _mul_into(out, a._terms, _by_degree(piece._terms), ring.bound)
+    return ring._finish(out)
 
 
 # -- divided-difference route --------------------------------------------

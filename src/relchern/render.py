@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import re
 import sys
 
@@ -54,6 +55,7 @@ def to_text(cls):
 _SUBSCRIPT_RE = re.compile(r"([A-Za-z]+)_?(\d+)\Z")
 
 
+@functools.lru_cache(maxsize=1024)
 def _latex_power(name, exp):
     match = _SUBSCRIPT_RE.match(name)
     if match:

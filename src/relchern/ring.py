@@ -315,14 +315,25 @@ def _by_degree(terms):
 def _mul_into(out, left, right, limit):
     """Add the product of ``left`` (a term map) and ``right`` (from
     :func:`_by_degree`) to ``out``, skipping pairs whose degree would pass
-    ``limit``.  The pairs skipped are exactly those truncation would drop."""
+    ``limit``.  The pairs skipped are exactly those truncation would drop.
+
+    A left term whose room reaches the right operand's top degree pairs with
+    all of ``right`` as it stands, with no search and no slice; that is every
+    term of a product by a linear factor but those at the limit."""
     items, degrees = right
+    if not items:
+        return
+    top = degrees[-1]
     get = out.get
     for k1, c1 in left.items():
         room = limit - (k1 & _FIELD)
-        if room < 0:
+        if room >= top:
+            pairs = items
+        elif room < 0:
             continue
-        for k2, c2 in items[:bisect_right(degrees, room)]:
+        else:
+            pairs = items[:bisect_right(degrees, room)]
+        for k2, c2 in pairs:
             key = k1 + k2
             out[key] = get(key, 0) + c1 * c2
 

@@ -79,6 +79,14 @@ def test_from_roots_twists_beta():
     assert zero_beta.beta.ring is ring
 
 
+@pytest.mark.parametrize("degree", [1.5, "a", None, True, -1])
+def test_from_roots_validates_the_degree_first(degree):
+    L = FormalBase(3).ring.sym("L")
+    with pytest.raises(ValueError,
+                       match="hypersurface degree must be a nonnegative integer"):
+        HypersurfaceSpec.from_roots(degree, 9 * L, [L, 3 * L])
+
+
 def test_the_q_routes_run_no_generic_projclass_product(monkeypatch):
     base = FormalBase(4)
     L = base.ring.sym("L")

@@ -3,7 +3,9 @@ exact ``int``/``Fraction`` coefficients, the canonical term order, the
 synthetic division behind the divided-difference route, the exact
 division by units behind ``expand_ratio`` and ``ProjClass`` division, the
 reduction by the Grothendieck relation, the one notion of codimension,
-the truncated degree, and the terms and pieces each value computes once."""
+the truncated degree, the terms and pieces each value computes once, and
+the products of linear factors that build ``c(E)`` and ``Q = N/D`` on term
+maps."""
 
 import random
 from fractions import Fraction
@@ -12,12 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relchern import (BundleSpec, ChowError, ChowPoly, ChowRing, FormalBase,
-                      HypersurfaceSpec, NonUnitError, ProjClass, Symbol,
-                      alpha_class, class_to_json, expand_ratio,
-                      pushforward_closed_form, pushforward_series, to_latex)
-from relchern.pushforward import _exact_linear_quotient
-from relchern.ring import _BITS, _FIELD, _MAX_EXP
+from relchern import (BundleSpec, ChowError, ChowPoly, ChowRing, FermatFamily,
+                      FormalBase, HypersurfaceSpec, NonUnitError, ProjClass,
+                      Symbol, alpha_class, class_to_json, expand_ratio,
+                      pushforward_closed_form, pushforward_series, q_rational,
+                      to_latex)
+from relchern.pushforward import _exact_linear_quotient, _linear_product
+from relchern.ring import _BITS, _FIELD, _MAX_EXP, _by_degree, _mul_into
 from relchern.render import rational_json
 from tests.randgen import (random_bundle, random_form, random_poly,
                            random_rational, random_setup)
@@ -416,3 +419,149 @@ def reference_decode(ring, key):
 def test_decode_visits_the_nonzero_fields_as_a_full_walk_would(exponents, field0):
     key = field0 + sum(e << WIDE._shift[name] for name, e in exponents.items())
     assert WIDE._decode(key) == reference_decode(WIDE, key)
+
+
+# -- products on term maps -------------------------------------------------
+
+TALL = RING.with_bound(8)
+
+# the limit, from the right operand's top degree and an offset: a left term
+# of degree 0 then has room below, equal to or above that degree, or none
+LIMITS = {"below": lambda top, k: top - 1 - k, "equal": lambda top, k: top,
+          "above": lambda top, k: top + 1 + k, "negative": lambda top, k: -1 - k}
+
+
+def naive_truncated_product(left, right, limit):
+    out = {}
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            if (k1 + k2) & _FIELD <= limit:
+                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(TALL), polys(TALL), polys(TALL), st.sampled_from(sorted(LIMITS)),
+       st.integers(0, 3))
+@example(TALL.one, 2 + TALL.sym("L") + TALL.sym("c2"), TALL.zero, "above", 0)
+@example(TALL.zero, 2 + TALL.sym("L"), 1 + TALL.sym("M") * TALL.sym("c2"),
+         "below", 0)
+@example(TALL.sym("M"), 2 + TALL.sym("L"), 1 + TALL.sym("M"), "equal", 0)
+@example(TALL.zero, 2 + TALL.sym("L"), 1 + TALL.sym("M"), "above", 2)
+@example(TALL.zero, 2 + TALL.sym("L"), 1 + TALL.sym("M"), "negative", 0)
+def test_mul_into_equals_the_naive_truncated_product(start, left, right, case,
+                                                     offset):
+    top = max((key & _FIELD for key in right._terms), default=0)
+    limit = LIMITS[case](top, offset)
+    out = dict(start._terms)
+    _mul_into(out, left._terms, _by_degree(right._terms), limit)
+    expected = dict(start._terms)
+    for key, c in naive_truncated_product(left._terms, right._terms,
+                                          limit).items():
+        expected[key] = expected.get(key, 0) + c
+    assert out == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0, 1, -2, 3, Fraction(1, 2)]),
+                          polys(TALL, ("L", "M"), 1), st.integers(1, 3)),
+                max_size=4))
+def test_linear_product_equals_the_product_of_its_factors(factors):
+    # forms of degree 1 only: the constant goes in as c
+    factors = [(c, form - form.constant_term(), mult)
+               for c, form, mult in factors]
+    expected = TALL.one
+    for c, form, mult in factors:
+        expected = expected * (c + form) ** mult
+    product = _linear_product(TALL, [(c, form._terms, mult)
+                                     for c, form, mult in factors])
+    assert TALL._finish(product) == expected
+
+
+# The formulas that built c(E), Q = N/D and the series push from ChowPoly
+# operators, kept as the oracle for the term-map versions.
+
+def operator_total_chern(bundle):
+    one = bundle.ring.one
+    out = one
+    for form, mult in bundle.roots:
+        out = out * (one + form) ** mult
+    return out
+
+
+def operator_q_rational(hyp):
+    one, beta, d = hyp.bundle.ring.one, hyp.beta, hyp.degree
+    rank = hyp.bundle.rank
+    if d == 0:
+        return rank * beta, one + beta
+    den = shifted = one
+    for form, mult in hyp.bundle.roots:
+        den = den * (one + beta - d * form) ** mult
+        shifted = shifted * (one + beta - d - d * form) ** mult
+    return ((d * rank - 1) * den + shifted) / d, den
+
+
+def operator_pushforward_series(cls):
+    bundle = cls.bundle
+    inverse = expand_ratio(bundle.ring.one, operator_total_chern(bundle))
+    return sum((a * piece for a, piece in zip(cls.coeffs[bundle.fiber_dim:],
+                                              inverse.components())),
+               bundle.ring.zero)
+
+
+def linear_factor_cases():
+    """Degrees 0 to 4 (at 1 the constant of each factor of ``S`` is 0),
+    multiplicities above 1, forms ``beta - d*M_j`` that vanish, a
+    ``Fraction`` beta, the Weierstrass job and the Fermat grid."""
+    for dim in (0, 1, 4):
+        ring = FormalBase(dim, divisors=("L", "M")).ring
+        L, M, zero = ring.sym("L"), ring.sym("M"), ring.zero
+        bundles = [BundleSpec([(zero, 1), (2 * L, 1), (3 * L, 1)]),
+                   BundleSpec([(zero, 2), (L, 3)]),
+                   BundleSpec([(zero, 3), (L - M, 1), (M, 2)])]
+        for bundle in bundles:
+            for beta in (6 * L, L - 2 * M, zero, 2 * L, Fraction(1, 2) * L - M):
+                for degree in range(5):
+                    yield HypersurfaceSpec(degree, beta, bundle)
+    for dim in (3, 7, 60):
+        ring = FormalBase(dim).ring
+        L = ring.sym("L")
+        yield HypersurfaceSpec(3, 6 * L, BundleSpec([ring.zero, 2 * L, 3 * L]))
+    for n in (1, 2, 3, 4):
+        for d in (2, 3, 4):
+            yield FermatFamily(n, d).hypersurface()
+
+
+def integral(value):
+    return all(type(c) is int for c in value._terms.values())
+
+
+def test_term_map_products_match_the_operator_formulas():
+    for hyp in linear_factor_cases():
+        bundle = hyp.bundle
+        chern = bundle.total_chern()
+        assert chern == operator_total_chern(bundle), bundle
+        assert integral(chern)
+        num, den = q_rational(hyp)
+        assert (num, den) == operator_q_rational(hyp), hyp
+        for value in (num, den):
+            assert_exact(value)
+            if integral(hyp.beta):
+                assert integral(value), hyp
+        alpha = alpha_class(hyp)
+        assert pushforward_series(alpha) == operator_pushforward_series(alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_term_map_routes_match_the_operator_formulas_on_random_data(seed):
+    rng = random.Random(seed)
+    _, bundle, cls = random_setup(rng)
+    scale = random_rational(rng) or 1
+    beta = random_form(rng, bundle.ring, False) * (scale if rng.random() < 0.5 else 1)
+    hyp = HypersurfaceSpec(rng.randint(0, 4), beta, bundle)
+    assert q_rational(hyp) == operator_q_rational(hyp)
+    cls = cls * scale
+    pushed = pushforward_series(cls)
+    assert pushed == operator_pushforward_series(cls)
+    assert_exact(pushed)
