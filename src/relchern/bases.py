@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 
-from .ring import ChowError, ChowRing, Symbol, SymbolError, _is_int
+from .ring import ChowError, ChowRing, Symbol, SymbolError, _Frozen, _is_int
 
 
 class SpecializationError(ChowError):
@@ -27,7 +27,7 @@ class ModeError(ChowError):
 _CHERN_RE = re.compile(r"c(\d+)\Z")
 
 
-class FormalBase:
+class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
     """Smooth base of dimension ``dim`` with free Chern symbols.
 
     ``divisors`` adds degree-1 symbols (``("L",)`` by default).  With
@@ -36,6 +36,8 @@ class FormalBase:
     computes in ``c1`` from the start.  A fano base needs at least one
     divisor.
     """
+
+    __slots__ = ("dim", "divisors", "fano", "ring")
 
     def __init__(self, dim, divisors=("L",), fano=False):
         if not _is_int(dim) or dim < 0:
@@ -46,10 +48,7 @@ class FormalBase:
                              "anticanonical class")
         symbols = [Symbol(f"c{i}", i) for i in range(1, dim + 1)]
         symbols += [Symbol(name, 1) for name in divisors]
-        self.dim = dim
-        self.divisors = divisors
-        self.fano = bool(fano)
-        self.ring = ChowRing(symbols, dim)
+        self._set(dim, divisors, bool(fano), ChowRing(symbols, dim))
 
     def chern_symbol(self, i):
         if not 1 <= i <= self.dim:
@@ -76,34 +75,26 @@ class FormalBase:
         """``cls`` with each name of :meth:`bindings` replaced by its class."""
         return cls.rewrite(self.bindings())
 
-    def __eq__(self, other):
-        if not isinstance(other, FormalBase):
-            return NotImplemented
-        return (self.dim == other.dim and self.divisors == other.divisors
-                and self.fano == other.fano)
 
-    def __repr__(self):
-        return f"FormalBase(dim={self.dim}, divisors={self.divisors}, fano={self.fano})"
-
-
-class ProjectiveSpaceBase:
+class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
     """Projective space of dimension ``dim``; classes are polynomials in the
     hyperplane class ``h``.
 
     ``multiple`` optionally binds a divisor name (``"L"`` by default) to
     ``multiple * h`` so bundle data written in terms of that divisor can be
-    interpreted here.
+    interpreted here.  The divisor name follows the rule of
+    :class:`~relchern.ring.Symbol` names.
     """
+
+    __slots__ = ("dim", "multiple", "divisor", "ring")
 
     def __init__(self, dim, multiple=None, divisor="L"):
         if not _is_int(dim) or dim < 0:
             raise ValueError("base dimension must be a nonnegative integer")
         if multiple is not None and not _is_int(multiple):
             raise ValueError("divisor multiple must be an integer")
-        self.dim = dim
-        self.multiple = multiple
-        self.divisor = divisor
-        self.ring = ChowRing([Symbol("h", 1)], dim)
+        Symbol(divisor)  # validates the identifier
+        self._set(dim, multiple, divisor, ChowRing([Symbol("h", 1)], dim))
 
     def hyperplane(self):
         return self.ring.sym("h")
@@ -135,12 +126,6 @@ class ProjectiveSpaceBase:
             raise SpecializationError(str(exc)) from None
         exponents = {"h": self.dim} if self.dim else {}
         return cls.coefficient(exponents)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectiveSpaceBase):
-            return NotImplemented
-        return (self.dim == other.dim and self.multiple == other.multiple
-                and self.divisor == other.divisor)
 
     def __repr__(self):
         return (f"ProjectiveSpaceBase(dim={self.dim}, "

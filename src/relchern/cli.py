@@ -92,10 +92,13 @@ def _as_bool(value, what):
 
 def _read_job(path):
     """The JSON document of the job file at ``path`` (``-`` for stdin)."""
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError:
+        raise ValidationError("the job file is nested too deeply") from None
 
 
 def _load_config(args):
@@ -327,8 +330,9 @@ def _asks_for_json(argv):
     config = _last_value(argv, "--config")
     if fmt is None and config is not None:
         try:
-            raw = _read_job(config)
-        except (OSError, ValueError):
+            with all_digits():
+                raw = _read_job(config)
+        except (OSError, ValueError, ValidationError):
             raw = None
         fmt = raw.get("format") if isinstance(raw, dict) else None
     return fmt == "json"
@@ -341,9 +345,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     fmt = args.format or "text"
     try:
-        cfg = _load_config(args)
-        fmt = cfg["format"]
         with all_digits():
+            cfg = _load_config(args)
+            fmt = cfg["format"]
             doc, text = _run(cfg)
     except ModeError as exc:
         return _fail(fmt, exc, 3)

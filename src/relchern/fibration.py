@@ -54,7 +54,7 @@ def _check_degree(degree):
         raise ValueError("hypersurface degree must be a nonnegative integer")
 
 
-class HypersurfaceSpec:
+class HypersurfaceSpec(_Frozen, fields=("degree", "beta", "bundle")):
     """A hypersurface of class ``degree*H + beta`` in a projectivization.
 
     The fields are fixed at construction.  The private slot ``_alpha`` keeps
@@ -62,8 +62,6 @@ class HypersurfaceSpec:
     """
 
     __slots__ = ("degree", "beta", "bundle", "_alpha")
-    __setattr__ = _Frozen.__setattr__
-    __delattr__ = _Frozen.__delattr__
 
     def __init__(self, degree, beta, bundle):
         _check_degree(degree)
@@ -72,7 +70,7 @@ class HypersurfaceSpec:
         beta = bundle.ring.convert(beta)
         if not (beta.is_zero() or beta.is_homogeneous(1)):
             raise ValueError("beta must be zero or homogeneous of codimension 1")
-        _Frozen._set(self, degree, beta, bundle, None)
+        self._set(degree, beta, bundle, None)
 
     @classmethod
     def from_roots(cls, degree, beta, roots):
@@ -87,17 +85,8 @@ class HypersurfaceSpec:
         H = ProjClass.hyperplane(self.bundle)
         return H * self.degree + ProjClass.from_base(self.bundle, self.beta)
 
-    def __eq__(self, other):
-        if not isinstance(other, HypersurfaceSpec):
-            return NotImplemented
-        return (self.degree == other.degree and self.beta == other.beta
-                and self.bundle == other.bundle)
-
     def __repr__(self):
         return f"HypersurfaceSpec({self.degree}*H + {self.beta} in {self.bundle!r})"
-
-    def __reduce__(self):
-        return HypersurfaceSpec, (self.degree, self.beta, self.bundle)
 
 
 def alpha_class(hyp):

@@ -33,8 +33,8 @@ from __future__ import annotations
 import math
 
 from .ring import (ChowError, ChowPoly, ContextError, Fraction, NonUnitError,
-                   _by_degree, _coerced, _divide_unit, _is_int, _mul_into,
-                   _nonzero_rational, _power, expand_ratio)
+                   _by_degree, _coerced, _divide_unit, _Frozen, _is_int,
+                   _mul_into, _nonzero_rational, _power, expand_ratio)
 
 
 class BundleError(ChowError):
@@ -45,9 +45,12 @@ def _root_entries(roots):
     entries = []
     for item in roots:
         if isinstance(item, ChowPoly):
-            form, mult = item, 1
-        else:
+            item = (item, 1)
+        try:
             form, mult = item
+        except (TypeError, ValueError):
+            raise BundleError("each Chern root is a class or a "
+                              "(class, multiplicity) pair") from None
         if not isinstance(form, ChowPoly):
             raise BundleError("each Chern root must be a class (use ring.zero for 0)")
         if not _is_int(mult) or mult < 1:
@@ -88,7 +91,7 @@ def _linear_product(ring, factors):
     return out
 
 
-class BundleSpec:
+class BundleSpec(_Frozen, fields=("roots",)):
     """Chern roots of a vector bundle, normalized so one root is zero.
 
     Construction merges repeated forms into a single entry with summed
@@ -96,7 +99,7 @@ class BundleSpec:
     without a zero entry is rejected; apply :func:`normalize_twist` first.
     """
 
-    __slots__ = ("ring", "roots")
+    __slots__ = ("roots", "ring")
 
     def __init__(self, roots):
         entries, ring = _root_entries(roots)
@@ -114,8 +117,7 @@ class BundleSpec:
                               "with normalize_twist before building the bundle")
         nonzero = sorted((e for e in merged if not e[0].is_zero()),
                          key=lambda e: str(e[0]))
-        self.ring = ring
-        self.roots = tuple(zero + nonzero)
+        self._set(tuple(zero + nonzero), ring)
         if self.rank < 2:
             raise BundleError("bundle rank must be at least 2")
 
@@ -140,11 +142,6 @@ class BundleSpec:
     def total_chern(self):
         return self.ring._finish(_linear_product(
             self.ring, [(1, form._terms, mult) for form, mult in self.roots]))
-
-    def __eq__(self, other):
-        if not isinstance(other, BundleSpec):
-            return NotImplemented
-        return self.ring == other.ring and self.roots == other.roots
 
     def __repr__(self):
         body = ", ".join(f"({form})^{mult}" for form, mult in self.roots)

@@ -79,15 +79,22 @@ class _Frozen:
     """An immutable record of the fields named in ``__slots__``, compared,
     hashed and shown by those fields as a frozen dataclass would be, without
     the import and class-creation cost of :mod:`dataclasses`.  Subclasses
-    set their fields once, in ``__init__``, through :meth:`_set`."""
+    set their slots once, in ``__init__``, through :meth:`_set`.
+
+    A record whose slots also hold state derived from its fields names the
+    constructor's arguments with the class keyword ``fields=(...)``; they
+    come first in ``__slots__``, and only they are compared, hashed, shown
+    and passed to the constructor again by ``copy`` and ``pickle``."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, fields=None):
+        names = cls.__slots__ if fields is None else fields
+        cls._names = names
         # the tuple of field values in one C call, not a generator:
         # ChowRing compares and hashes its tuple of symbols
-        get = operator.attrgetter(*cls.__slots__)
-        cls._fields = property(get if len(cls.__slots__) > 1
+        get = operator.attrgetter(*names)
+        cls._fields = property(get if len(names) > 1
                                else lambda self: (get(self),))
 
     def _set(self, *values):
@@ -95,6 +102,8 @@ class _Frozen:
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields == other._fields
@@ -104,7 +113,7 @@ class _Frozen:
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self._names)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -130,7 +139,7 @@ class Symbol(_Frozen):
         self._set(name, degree)
 
 
-class ChowRing:
+class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
     """A symbol table, a truncation bound and optional formal variables.
 
     The bound is the dimension of the underlying variety.  A term's
@@ -140,7 +149,7 @@ class ChowRing:
     formal variables agree.
     """
 
-    __slots__ = ("bound", "symbols", "formal", "_degrees", "_formal_set",
+    __slots__ = ("symbols", "bound", "formal", "_degrees", "_formal_set",
                  "_shift", "_unit", "_guard", "_factors", "_by_field")
 
     def __init__(self, symbols, bound, formal=()):
@@ -156,30 +165,19 @@ class ChowRing:
         for name in formal:
             Symbol(name)  # validates the identifier
             degrees[name] = 1
-        self.bound = bound
-        self.symbols = tuple(syms)
-        self.formal = formal
-        self._degrees = degrees
-        self._formal_set = frozenset(formal)
+        formal_set = frozenset(formal)
         # fields follow the (degree, name) order of printed monomials
         order = sorted(degrees, key=lambda n: (degrees[n], n))
-        self._shift = {name: _BITS * (i + 1) for i, name in enumerate(order)}
-        self._unit = {name: (0 if name in self._formal_set else degrees[name])
-                      + (1 << self._shift[name]) for name in order}
-        self._guard = sum(1 << (self._shift[name] + _BITS - 1) for name in formal)
-        self._factors = {}  # (name, exp) -> one shared tuple, see _decode
+        shift = {name: _BITS * (i + 1) for i, name in enumerate(order)}
+        unit = {name: (0 if name in formal_set else degrees[name])
+                + (1 << shift[name]) for name in order}
+        guard = sum(1 << (shift[name] + _BITS - 1) for name in formal)
         # field i + 1: its name, its degree and its exponent's shift in a rank
-        self._by_field = [(name, degrees[name], _BITS * (len(order) - i - 1))
-                          for i, name in enumerate(order)]
-
-    def __eq__(self, other):
-        if not isinstance(other, ChowRing):
-            return NotImplemented
-        return (self.bound == other.bound and self.symbols == other.symbols
-                and self.formal == other.formal)
-
-    def __hash__(self):
-        return hash((self.bound, self.symbols, self.formal))
+        by_field = [(name, degrees[name], _BITS * (len(order) - i - 1))
+                    for i, name in enumerate(order)]
+        # _factors: (name, exp) -> one shared tuple, see _decode
+        self._set(tuple(syms), bound, formal, degrees, formal_set, shift,
+                  unit, guard, {}, by_field)
 
     def __repr__(self):
         names = ",".join(s.name for s in self.symbols)

@@ -169,6 +169,12 @@ def test_base_equality_and_validation():
             make()
 
 
+@pytest.mark.parametrize("name", ["1x", "", 5, None, "L-1"])
+def test_a_projective_divisor_name_is_a_symbol_name(name):
+    with pytest.raises(SymbolError, match="invalid symbol name"):
+        ProjectiveSpaceBase(3, 2, name)
+
+
 def test_zero_dimensional_point():
     pt = ProjectiveSpaceBase(0)
     assert pt.integrate(pt.ring.const(7)) == 7

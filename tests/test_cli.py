@@ -12,9 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relchern import (BundleSpec, ChowPoly, FormalBase, HypersurfaceSpec,
-                      ProjClass, q_class, to_text)
+from relchern import (BundleSpec, ChowPoly, FermatFamily, FormalBase,
+                      HypersurfaceSpec, ProjClass, class_to_json, q_class,
+                      relative_chern_class, to_text)
 from relchern.cli import main
+from relchern.render import all_digits as lifted_digit_limit
 from tests import golden_cases
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -264,6 +266,42 @@ def test_csm_check_rejects_other_shapes(tmp_path, capsys):
     assert code == 2 and "O + L^n" in err
 
 
+def test_csm_check_needs_degree_two(tmp_path, capsys):
+    payload = {"base": {"kind": "formal", "dim": 2},
+               "bundle": {"roots": [{"form": {}}, {"form": {"L": 1}}]},
+               "hypersurface": {"degree": 1, "beta": {"L": 1}}}
+    cfg = write_config(tmp_path, payload)
+    code, out, err = run_cli(capsys, ["csm-check", "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err == "error: csm-check needs degree at least 2\n"
+
+
+def test_csm_check_reports_a_disagreement(tmp_path, capsys, monkeypatch):
+    stratified = FermatFamily.chern_by_strata
+    monkeypatch.setattr(FermatFamily, "chern_by_strata",
+                        lambda self, base: stratified(self, base)
+                        + base.ring.sym("L") ** 2)
+    base = FormalBase(2)
+    L = base.ring.sym("L")
+    hyp = HypersurfaceSpec(3, 3 * L, BundleSpec([base.ring.zero, (L, 2)]))
+    right = relative_chern_class(hyp, base)
+    left = right + L ** 2
+    cfg = write_config(tmp_path, CUBIC_FAMILY_DIM2)
+    code, out, _ = run_cli(capsys, ["csm-check", "--config", cfg])
+    assert code == 0
+    assert out == ("NOT EQUAL\n"
+                   f"stratified:  {to_text(left)}\n"
+                   f"pushforward: {to_text(right)}\n"
+                   "difference:  L^2\n")
+    code, out, _ = run_cli(capsys, ["csm-check", "--config", cfg,
+                                    "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "equal": False, "stratified": class_to_json(left),
+        "pushforward": class_to_json(right),
+        "difference": class_to_json(L ** 2)}
+
+
 def test_epoly(tmp_path, capsys):
     cfg = write_config(tmp_path, CUBIC_FAMILY_DIM2)
     code, out, _ = run_cli(capsys, ["epoly", "--config", cfg])
@@ -437,6 +475,94 @@ def test_exact_fractions_print_beyond_the_digit_limit(tmp_path, capsys, fmt):
         assert out == f"\\tfrac{{{num}}}{{{den}}} L\n"
     else:
         assert out == f"{num}/{den}*L\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_job_integers_read_beyond_the_digit_limit(tmp_path, capsys, fmt):
+    # a 5001-digit beta coefficient; the interpreter's default limit is 4300
+    limit = sys.get_int_max_str_digits()
+    big = 7 * 10 ** 5000 + 1
+    with lifted_digit_limit():
+        payload = json.loads(json.dumps(WEIERSTRASS_FORMAL))
+        payload["hypersurface"]["beta"] = {"L": big}
+        cfg = write_config(tmp_path, payload)
+        base = FormalBase(3)
+        L = base.ring.sym("L")
+        hyp = HypersurfaceSpec.from_roots(3, big * L,
+                                          [base.ring.zero, 2 * L, 3 * L])
+        expected = q_class(hyp)
+        text, terms = to_text(expected), class_to_json(expected)
+    assert len(text) > 5000
+    code, out, err = run_cli(capsys, ["qclass", "--config", cfg,
+                                      "--format", fmt])
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "json":
+        assert json.loads(out)["result"]["class"] == terms
+    else:
+        assert out == text + "\n"
+    # the usage-error path reads the same job for its format
+    payload["format"] = "json"
+    with lifted_digit_limit():
+        cfg = write_config(tmp_path, payload)
+    with pytest.raises(SystemExit) as exc:
+        main(["qclass", "--config", cfg, "--trunc", "x"])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().out)["error"]["exit_code"] == 2
+    assert sys.get_int_max_str_digits() == limit
+
+
+DEEP_JOB = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("where", ["top", "key"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_deeply_nested_job_file_is_a_validation_error(tmp_path, capsys,
+                                                        monkeypatch, where,
+                                                        source):
+    text = DEEP_JOB if where == "top" else '{"base": ' + DEEP_JOB + "}"
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(text, encoding="utf-8")
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        cfg = "-"
+    code, out, err = run_cli(capsys, ["qclass", "--config", str(cfg),
+                                      "--format", "json"])
+    message = "the job file is nested too deeply"
+    assert (code, err) == (2, f"error: {message}\n")
+    assert json.loads(out)["error"] == {
+        "exit_code": 2, "type": "ValidationError", "message": message}
+    # a usage error counts such a job file as unreadable, so as text
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    with pytest.raises(SystemExit) as exc:
+        main(["qclass", "--config", str(cfg), "--trunc", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "invalid int value: 'x'" in captured.err
+
+
+def test_a_deeply_nested_job_file_has_no_traceback(tmp_path):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(DEEP_JOB, encoding="utf-8")
+    for options in (["--format", "json"], ["--trunc", "x"]):
+        proc = subprocess.run([sys.executable, "-m", "relchern", "qclass",
+                               "--config", str(cfg)] + options,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        if "json" in options:
+            assert json.loads(proc.stdout)["error"]["exit_code"] == 2
+
+
+def test_a_projective_binding_needs_a_symbol_name(tmp_path, capsys):
+    payload = json.loads(WEIERSTRASS_JOB_FILE.read_text(encoding="utf-8"))
+    payload["base"] = {"kind": "projective", "dim": 3, "bind": {"1x": 2}}
+    cfg = write_config(tmp_path, payload)
+    code, out, err = run_cli(capsys, ["qclass", "--config", cfg,
+                                      "--format", "json"])
+    assert (code, err) == (2, "error: invalid symbol name '1x'\n")
+    assert json.loads(out)["error"]["type"] == "SymbolError"
 
 
 FLAT_SUM = "+".join(["H^2"] * 3000)  # H^2 pushes forward to 1 on a rank-3 bundle

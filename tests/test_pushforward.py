@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from relchern import (BundleError, BundleSpec, ChowError, ChowRing, ProjClass,
-                      Symbol, divided_difference, expand_ratio,
+from relchern import (BundleError, BundleSpec, ChowError, ChowRing,
+                      ContextError, ProjClass, Symbol, divided_difference, expand_ratio,
                       inverse_total_chern, normalize_twist,
                       pushforward_closed_form, pushforward_power,
                       pushforward_series)
@@ -58,6 +58,16 @@ def test_bundle_rejects_bad_roots():
     formal = ring.with_formal(["x"])
     with pytest.raises(BundleError):
         BundleSpec([formal.zero, formal.sym("L")])
+    # neither a class nor a (class, multiplicity) pair
+    for item in (5, (L, 1, 2), "L"):
+        with pytest.raises(BundleError, match="pair"):
+            BundleSpec([ring.zero, item])
+    with pytest.raises(BundleError, match="must be a class"):
+        BundleSpec([ring.zero, (5, 1)])
+    with pytest.raises(BundleError, match="at least one"):
+        BundleSpec([])
+    with pytest.raises(ContextError):
+        BundleSpec([ring.zero, ring_L(3).sym("L")])
 
 
 # -- normalize_twist ----------------------------------------------------
