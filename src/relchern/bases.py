@@ -128,8 +128,9 @@ class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
         return cls.coefficient(exponents)
 
     def __repr__(self):
-        return (f"ProjectiveSpaceBase(dim={self.dim}, "
-                f"{self.divisor}={self.multiple}*h)")
+        binding = (f"{self.divisor} unbound" if self.multiple is None
+                   else f"{self.divisor}={self.multiple}*h")
+        return f"ProjectiveSpaceBase(dim={self.dim}, {binding})"
 
 
 def specialize(cls, base):

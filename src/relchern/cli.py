@@ -19,12 +19,18 @@ zero class included), 3 mode error (an output mode the chosen base cannot
 provide).  In JSON mode a failure also prints an ``{"error": {...}}`` object
 on stdout.  So does a usage error, when ``--format json`` is on the command
 line or, with no ``--format`` there, when the ``--config`` job asks for JSON.
+Only the requested format is built: text mode builds no JSON document, and
+JSON mode renders no class as text.  A reader that closes the pipe before
+the output ends (``relchern ... | head``) loses the rest of it, and the exit
+code stays that of the job, with no traceback: 0 when the job succeeded.
+The same holds for an error message on a stderr whose reader has gone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
@@ -34,7 +40,7 @@ from .fibration import (FermatFamily, HypersurfaceSpec, UnsupportedDegreeError,
                         smooth_hypersurface_euler, svw_components)
 from .pushforward import ProjClass, _twist, pushforward_series
 from .render import all_digits, class_to_json, to_latex, to_text
-from .ring import ChowError, _is_int, expand_ratio
+from .ring import ChowError, ChowPoly, _is_int, expand_ratio
 
 COMMANDS = ("push", "euler", "svw", "qclass", "csm-check", "epoly")
 
@@ -211,22 +217,18 @@ def _family_from(hyp, base):
     return FermatFamily(mult, hyp.degree, base.dim, name)
 
 
-def _render_class(cls, fmt):
-    return to_latex(cls) if fmt == "latex" else to_text(cls)
-
-
 def _run(cfg):
+    """The result of the job: its fields as the JSON document names them,
+    each holding its value unrendered (a class, an integer or a flag), so
+    only the requested format is ever built."""
     command = cfg["command"]
-    fmt = cfg["format"]
     base = _build_base(cfg)
-    doc = {"command": command}
 
     if command == "epoly":
         entries = _build_roots(cfg, base)
         hyp = _build_hypersurface(cfg, base, entries)
-        value = smooth_hypersurface_euler(hyp.bundle.fiber_dim, hyp.degree)
-        doc["result"] = {"value": str(value)}
-        return doc, str(value)
+        return {"value": smooth_hypersurface_euler(hyp.bundle.fiber_dim,
+                                                   hyp.degree)}
 
     if command == "push":
         _require(isinstance(cfg["class"], str) and cfg["class"].strip(),
@@ -240,67 +242,91 @@ def _run(cfg):
         env["H"] = ProjClass.hyperplane(bundle) - m0
         tree = parse_class_expr(cfg["class"])
         value = evaluate(tree, env, lambda v: ProjClass.constant(bundle, v))
-        pushed = pushforward_series(value)
-        doc["result"] = {"class": class_to_json(pushed)}
-        return doc, _render_class(pushed, fmt)
+        return {"class": pushforward_series(value)}
 
     entries = _build_roots(cfg, base)
     hyp = _build_hypersurface(cfg, base, entries)
 
     if command == "qclass":
-        out = expand_ratio(*q_rational(hyp))
-        doc["result"] = {"class": class_to_json(out)}
-        return doc, _render_class(out, fmt)
+        return {"class": expand_ratio(*q_rational(hyp))}
 
     if command == "euler":
         value = euler_characteristic(hyp, base,
                                      as_integer=True if cfg["integrate"] else None)
         if isinstance(value, int):
-            doc["result"] = {"euler_characteristic": str(value)}
-            return doc, str(value)
-        doc["result"] = {"class": class_to_json(value)}
-        return doc, _render_class(value, fmt)
+            return {"euler_characteristic": value}
+        return {"class": value}
 
     if command == "svw":
-        entries_json = []
-        lines = []
-        for j, piece in enumerate(svw_components(hyp, base), start=1):
-            parts = class_to_json(piece)
-            entries_json.append(parts[0] if parts else {"codim": j, "terms": []})
-            lines.append(f"codim {j}: {_render_class(piece, fmt)}")
-        doc["result"] = {"components": entries_json}
-        return doc, "\n".join(lines)
+        return {"components": svw_components(hyp, base)}
 
     if command == "csm-check":
         family = _family_from(hyp, base)
         left = family.chern_by_strata(base)
         right = relative_chern_class(hyp, base)
-        equal = left == right
-        doc["result"] = {"equal": equal}
-        if equal:
-            return doc, "EQUAL"
-        diff = left - right
-        doc["result"].update({
-            "stratified": class_to_json(left),
-            "pushforward": class_to_json(right),
-            "difference": class_to_json(diff),
-        })
-        text = ("NOT EQUAL\n"
-                f"stratified:  {_render_class(left, fmt)}\n"
-                f"pushforward: {_render_class(right, fmt)}\n"
-                f"difference:  {_render_class(diff, fmt)}")
-        return doc, text
+        if left == right:
+            return {"equal": True}
+        return {"equal": False, "stratified": left, "pushforward": right,
+                "difference": left - right}
 
     raise ValidationError(f"unknown command {command!r}")
 
 
+def _json_result(result):
+    """The ``result`` object of the JSON document: classes as
+    :func:`class_to_json` term lists, integers as decimal strings."""
+    out = {}
+    for key, value in result.items():
+        if key == "components":
+            # each piece is homogeneous: one graded entry, or none if zero
+            value = [(class_to_json(piece) or [{"codim": j, "terms": []}])[0]
+                     for j, piece in enumerate(value, start=1)]
+        elif isinstance(value, ChowPoly):
+            value = class_to_json(value)
+        elif not isinstance(value, bool):
+            value = str(value)
+        out[key] = value
+    return out
+
+
+def _text_result(result, fmt):
+    """The text or LaTeX rendering of the result."""
+    render = to_latex if fmt == "latex" else to_text
+    if "components" in result:
+        return "\n".join(f"codim {j}: {render(piece)}" for j, piece
+                         in enumerate(result["components"], start=1))
+    if "equal" in result:
+        if result["equal"]:
+            return "EQUAL"
+        return ("NOT EQUAL\n"
+                f"stratified:  {render(result['stratified'])}\n"
+                f"pushforward: {render(result['pushforward'])}\n"
+                f"difference:  {render(result['difference'])}")
+    (value,) = result.values()
+    return render(value) if isinstance(value, ChowPoly) else str(value)
+
+
+def _emit(stream, text):
+    """Print ``text`` on ``stream``.  A reader that closed the pipe early
+    (``relchern ... | head``) ends the output there: the stream's file
+    descriptor is pointed at the null device, so the flush at exit cannot
+    fail again, and the exit code stays that of the job."""
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def _print_error(code, kind, message):
     payload = {"error": {"exit_code": code, "type": kind, "message": message}}
-    print(json.dumps(payload, indent=2))
+    _emit(sys.stdout, json.dumps(payload, indent=2))
 
 
 def _fail(fmt, exc, code):
-    print(f"error: {exc}", file=sys.stderr)
+    _emit(sys.stderr, f"error: {exc}")
     if fmt == "json":
         _print_error(code, type(exc).__name__, str(exc))
     return code
@@ -348,15 +374,17 @@ def main(argv=None):
         with all_digits():
             cfg = _load_config(args)
             fmt = cfg["format"]
-            doc, text = _run(cfg)
+            result = _run(cfg)
+            if fmt == "json":
+                out = json.dumps({"command": cfg["command"],
+                                  "result": _json_result(result)}, indent=2)
+            else:
+                out = _text_result(result, fmt)
     except ModeError as exc:
         return _fail(fmt, exc, 3)
     except (ChowError, ValueError, OSError, ZeroDivisionError) as exc:
         return _fail(fmt, exc, 2)
-    if fmt == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(text)
+    _emit(sys.stdout, out)
     return 0
 
 

@@ -41,6 +41,7 @@ import math
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
 from .pushforward import (BundleSpec, ProjClass, _linear_product, _product,
                           _twist, pushforward_series)
+from .render import _text_power, format_terms
 from .ring import (ChowError, ContextError, Fraction, _Frozen, _is_int,
                    expand_ratio)
 
@@ -86,7 +87,10 @@ class HypersurfaceSpec(_Frozen, fields=("degree", "beta", "bundle")):
         return H * self.degree + ProjClass.from_base(self.bundle, self.beta)
 
     def __repr__(self):
-        return f"HypersurfaceSpec({self.degree}*H + {self.beta} in {self.bundle!r})"
+        # degree*H leads the terms of beta, in the text of any class
+        terms = [((("H", 1),), self.degree)] if self.degree else []
+        cls = format_terms(terms + self.beta.terms(), str, _text_power, "*")
+        return f"HypersurfaceSpec({cls} in {self.bundle!r})"
 
 
 def alpha_class(hyp):

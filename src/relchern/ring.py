@@ -31,7 +31,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 
-from .render import format_terms
+from .render import _text_power, format_terms
 
 _BITS = 32
 _FIELD = (1 << _BITS) - 1
@@ -467,8 +467,10 @@ class ChowPoly:
     def _canonical(self):
         """``(codims, terms)``: :meth:`terms` sorted once, and field 0 of each key."""
         if self._canon is None:
-            items = sorted(self.ring._decode(key) + (key & _FIELD, c)
-                           for key, c in self._terms.items())
+            decode = self.ring._decode
+            items = [decode(key) + (key & _FIELD, c)
+                     for key, c in self._terms.items()]
+            items.sort()
             self._canon = ([t[2] for t in items], [(t[1], t[3]) for t in items])
         return self._canon
 
@@ -618,8 +620,7 @@ class ChowPoly:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        return format_terms(self._canonical()[1], str,
-                            lambda n, e: n if e == 1 else f"{n}^{e}", "*")
+        return format_terms(self._canonical()[1], str, _text_power, "*")
 
     def __repr__(self):
         return f"ChowPoly({self})"

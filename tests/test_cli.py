@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from relchern import (BundleSpec, ChowPoly, FermatFamily, FormalBase,
                       HypersurfaceSpec, ProjClass, class_to_json, q_class,
                       relative_chern_class, to_text)
+from relchern import cli
 from relchern.cli import main
 from relchern.render import all_digits as lifted_digit_limit
 from tests import golden_cases
@@ -635,6 +636,89 @@ def test_json_booleans_keep_their_meaning(tmp_path, capsys):
     cfg = write_config(tmp_path, payload)
     code, out, _ = run_cli(capsys, ["euler", "--config", cfg])
     assert (code, out) == (0, "432*L^3 - 72*L^2*c1 + 12*L*c2\n")
+
+
+# -- render once -------------------------------------------------------------
+
+# (command, job, extra options, whether the stratified route is made to
+# disagree): every command, with class and integer results
+RENDER_ONCE_JOBS = [
+    ("push", WEIERSTRASS_FORMAL, ["--class", "H^3/(1+L)"], False),
+    ("qclass", WEIERSTRASS_FORMAL, [], False),
+    ("euler", WEIERSTRASS_FORMAL, [], False),
+    ("euler", projective_weierstrass(3, 4), [], False),
+    ("svw", WEIERSTRASS_FORMAL, [], False),
+    ("csm-check", CUBIC_FAMILY_DIM2, [], False),
+    ("csm-check", CUBIC_FAMILY_DIM2, [], True),
+    ("epoly", WEIERSTRASS_FORMAL, [], False),
+]
+
+
+@pytest.mark.parametrize("fmt, unwanted", [
+    ("text", ["class_to_json"]), ("latex", ["class_to_json"]),
+    ("json", ["to_text", "to_latex"])])
+@pytest.mark.parametrize("command, job, options, disagree", RENDER_ONCE_JOBS)
+def test_only_the_requested_format_is_built(tmp_path, capsys, monkeypatch,
+                                            fmt, unwanted, command, job,
+                                            options, disagree):
+    if disagree:
+        stratified = FermatFamily.chern_by_strata
+        monkeypatch.setattr(FermatFamily, "chern_by_strata",
+                            lambda self, base: stratified(self, base)
+                            + base.ring.sym("L") ** 2)
+    argv = [command, "--config", write_config(tmp_path, job),
+            "--format", fmt] + options
+    expected = run_cli(capsys, argv)
+    assert expected[0] == 0 and expected[1].strip()
+
+    def refuse(*args):
+        raise AssertionError(f"{fmt} mode built another format")
+
+    for name in unwanted:
+        monkeypatch.setattr(cli, name, refuse)
+    assert run_cli(capsys, argv) == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_reader_that_closes_the_pipe_early_leaves_exit_code_0(fmt):
+    # about 320 KB of text, far more than a pipe holds: the CLI is still
+    # writing when the reader goes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "relchern", "svw", "--config",
+         str(WEIERSTRASS_JOB_FILE), "--trunc", "120", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert len(head) == 10
+    assert code == 0, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_a_failing_job_keeps_exit_code_2_when_its_reader_is_gone(tmp_path):
+    # stdout and stderr share one pipe, closed before the CLI writes to
+    # either: the error message and the JSON error object are lost, the
+    # exit code is not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "relchern", "qclass", "--config",
+         str(tmp_path / "missing.json"), "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env)
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
 
 
 # -- fuzz of the exit-code contract ------------------------------------------

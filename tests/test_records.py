@@ -108,7 +108,7 @@ VALUES = [
      "FormalBase(dim=2, divisors=('L', 'M'), fano=True)", "fano", True),
     (lambda: ProjectiveSpaceBase(3, 4), "ProjectiveSpaceBase(dim=3, L=4*h)",
      "multiple", True),
-    (lambda: ProjectiveSpaceBase(2), "ProjectiveSpaceBase(dim=2, L=None*h)",
+    (lambda: ProjectiveSpaceBase(2), "ProjectiveSpaceBase(dim=2, L unbound)",
      "divisor", True),
     (lambda: FormalBase(3).ring, "ChowRing(L,c1,c2,c3; bound=3)", "bound", True),
     (lambda: FormalBase(1).ring.with_formal(["x", "_y"]),
@@ -119,7 +119,7 @@ VALUES = [
      "HypersurfaceSpec(3*H + 6*L in BundleSpec[(0)^1, (2*L)^1, (3*L)^1])",
      "beta", False),
     (twisted,
-     "HypersurfaceSpec(2*H + -L + M in BundleSpec[(0)^1, (-L + M)^2, (L)^1])",
+     "HypersurfaceSpec(2*H - L + M in BundleSpec[(0)^1, (-L + M)^2, (L)^1])",
      "degree", False),
 ]
 

@@ -21,7 +21,6 @@ from relchern import (BundleSpec, ChowError, ChowPoly, ChowRing, FermatFamily,
                       to_latex)
 from relchern.pushforward import _exact_linear_quotient, _linear_product
 from relchern.ring import _BITS, _FIELD, _MAX_EXP, _by_degree, _mul_into
-from relchern.render import rational_json
 from tests.randgen import (random_bundle, random_form, random_poly,
                            random_rational, random_setup)
 
@@ -370,6 +369,10 @@ def test_views_repeat_and_hand_out_private_lists(v, piece_first):
         handed_out.reverse()
         handed_out.append(None)
     assert views(v) == first == views(fresh)
+
+
+def rational_json(q):
+    return {"numerator": str(q.numerator), "denominator": str(q.denominator)}
 
 
 def per_piece_json(v):
