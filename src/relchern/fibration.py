@@ -287,32 +287,40 @@ class FermatFamily(_Frozen):
         e_prev = smooth_hypersurface_euler(self.n - 1, d)
         return (e_n + (e_prev + 1) * d * L) / (base.ring.one + d * L)
 
-    def strata(self, base=None):
-        base, L = self._resolve(base)
+    def _by_divisor(self, L):
+        """The fields of :meth:`strata`, but with the CSM classes of the
+        discriminant and of the common zero locus divided by ``c(B)``: every
+        class here is a class in ``L`` alone, of at most ``bound + 1`` terms."""
         n, d = self.n, self.degree
-        one = base.ring.one
-        cX = base.chern_polynomial()
+        one = L.ring.one
         chi0 = smooth_hypersurface_euler(n, d)
         chi1 = chi0 + (-1) ** n * (d - 1) ** (n - 1)
         chi2 = chi0 + (-1) ** n * (d - 1) ** n
         f = (d - 1) * L
         g = d * L
         delta = d * (d - 1) * L
-        chern_common_zero = cX * f * g / ((one + f) * (one + g))
-        csm_discriminant = cX * (
+        common_zero = f * g / ((one + f) * (one + g))
+        discriminant = (
             delta / (one + delta)
             + ((d - 2) * (d - 1)) * f * g
             / ((one + delta) * (one + delta + (1 - d) * f) * (one + delta + (2 - d) * g)))
-        return StratumData(chi0, chi1, chi2, f, g, delta,
-                           csm_discriminant, chern_common_zero)
+        return chi0, chi1, chi2, f, g, delta, discriminant, common_zero
+
+    def strata(self, base=None):
+        base, L = self._resolve(base)
+        *fields, discriminant, common_zero = self._by_divisor(L)
+        cX = base.chern_polynomial()
+        return StratumData(*fields, cX * discriminant, cX * common_zero)
 
     def chern_by_strata(self, base=None):
         """Pushed-down Chern class assembled from the stratification: fibers
         of constant Euler characteristic weight the CSM classes of their
         strata.  Must equal ``relative_chern_class`` of the induced
-        hypersurface."""
-        base, _ = self._resolve(base)
-        s = self.strata(base)
-        return (s.chi0 * base.chern_polynomial()
-                + (s.chi1 - s.chi0) * s.csm_discriminant
-                + (s.chi2 - s.chi1) * s.chern_common_zero)
+        hypersurface.
+
+        Every CSM class is ``c(B)`` times a class in the divisor, so the sum
+        of the divisor classes is multiplied by ``c(B)`` once."""
+        base, L = self._resolve(base)
+        chi0, chi1, chi2, _, _, _, discriminant, common_zero = self._by_divisor(L)
+        return base.chern_polynomial() * (chi0 + (chi1 - chi0) * discriminant
+                                          + (chi2 - chi1) * common_zero)

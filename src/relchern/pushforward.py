@@ -83,7 +83,7 @@ def _linear_product(ring, factors):
             scale = c ** mult
             out = {key: v * scale for key, v in out.items()}
             continue
-        right = _by_degree({0: c, **form} if c else form)
+        right = _by_degree({0: c, **form} if c else form, ring._mask)
         for _ in range(mult):
             product = {}
             _mul_into(product, out, right, bound)
@@ -151,7 +151,8 @@ class BundleSpec(_Frozen, fields=("roots",)):
 def _negated_table(coeffs):
     """``(k, -coeffs[k])`` for each nonzero coefficient after the first, in
     the form :func:`_mul_into` takes."""
-    return [(k, _by_degree({key: -c for key, c in u._terms.items()}))
+    return [(k, _by_degree({key: -c for key, c in u._terms.items()},
+                           u.ring._mask))
             for k, u in enumerate(coeffs) if k and u]
 
 
@@ -161,7 +162,7 @@ def _product(bundle, left, right):
     bound, dmax = bundle.ring.bound, bundle.ambient_dim
     # widths m and n reach only the slots H^0 .. H^(m + n - 2)
     out = [{} for _ in range(min(dmax + 1, len(left) + len(right) - 1))]
-    right = [_by_degree(b._terms) for b in right]
+    right = [_by_degree(b._terms, b.ring._mask) for b in right]
     for i, a in enumerate(left):
         for j, b in enumerate(right[:dmax + 1 - i]):
             # the H^(i+j) coefficient keeps codimension <= dmax - i - j
@@ -219,7 +220,7 @@ class ProjClass:
                 if k > n:
                     break
                 _mul_into(z, quotient[n - k], u, limit)
-            quotient.append(_divide_unit(z, tail, limit))
+            quotient.append(_divide_unit(z, tail, limit, ring._mask))
         return cls._normalized(bundle, [ChowPoly(ring, z) for z in quotient])
 
     @classmethod
@@ -409,7 +410,8 @@ def pushforward_series(cls):
     pieces = inverse_total_chern(bundle).components()
     out = {}
     for a, piece in zip(cls.coeffs[bundle.fiber_dim:], pieces):
-        _mul_into(out, a._terms, _by_degree(piece._terms), ring.bound)
+        _mul_into(out, a._terms, _by_degree(piece._terms, ring._mask),
+                  ring.bound)
     return ring._finish(out)
 
 

@@ -15,10 +15,21 @@ truncates away), host intermediate divided-difference computations and
 never appear in results.
 
 A monomial is stored as its exponent vector packed into one integer of
-32-bit fields: field 0 holds the degree that truncation counts, field
+fixed-width fields: field 0 holds the degree that truncation counts, field
 ``i + 1`` the exponent of the ring's ``i``-th variable in ``(degree, name)``
 order.  A product of monomials is then one integer addition,
 and a term's degree is read off without looking at its symbols.
+
+A ring without formal variables gives every field ``bound.bit_length() + 1``
+bits: no term it keeps has a degree or an exponent above ``bound``, and the
+kernels add two keys only while the sum's degree stays within a limit of at
+most ``bound``.  Every field of a valid key then has its top bit clear, so a
+sum of two keys never carries into the next field, and a key stays a few
+machine digits long: a divisor-only class of a dimension-60 base fits in one
+30-bit digit.  Formal exponents are unbounded, so a ring with formal
+variables keeps 32-bit fields, with the top bit of each formal field
+guarded.  Equal rings get equal widths; a value changes rings through
+:meth:`ChowRing._decode`.
 
 Values are immutable and operations are pure.
 """
@@ -146,11 +157,14 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
     codimension is its truncated degree, field 0 of its packed key: the sum
     of its symbols' degrees, with formal variables counting 0.  Two rings are
     interchangeable contexts exactly when their symbol tables, bounds and
-    formal variables agree.
+    formal variables agree.  Those also fix the width of every field of a
+    key, ``_bits``; ``_mask`` reads one field, and ``key & _mask`` is the
+    degree.
     """
 
     __slots__ = ("symbols", "bound", "formal", "_degrees", "_formal_set",
-                 "_shift", "_unit", "_guard", "_factors", "_by_field")
+                 "_bits", "_mask", "_shift", "_unit", "_guard", "_factors",
+                 "_by_field")
 
     def __init__(self, symbols, bound, formal=()):
         if not _is_int(bound) or not 0 <= bound <= _MAX_EXP:
@@ -166,18 +180,20 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
             Symbol(name)  # validates the identifier
             degrees[name] = 1
         formal_set = frozenset(formal)
+        # no field of a non-formal ring exceeds the bound (module docstring)
+        bits = _BITS if formal else bound.bit_length() + 1
         # fields follow the (degree, name) order of printed monomials
         order = sorted(degrees, key=lambda n: (degrees[n], n))
-        shift = {name: _BITS * (i + 1) for i, name in enumerate(order)}
+        shift = {name: bits * (i + 1) for i, name in enumerate(order)}
         unit = {name: (0 if name in formal_set else degrees[name])
                 + (1 << shift[name]) for name in order}
-        guard = sum(1 << (shift[name] + _BITS - 1) for name in formal)
+        guard = sum(1 << (shift[name] + bits - 1) for name in formal)
         # field i + 1: its name, its degree and its exponent's shift in a rank
-        by_field = [(name, degrees[name], _BITS * (len(order) - i - 1))
+        by_field = [(name, degrees[name], bits * (len(order) - i - 1))
                     for i, name in enumerate(order)]
         # _factors: (name, exp) -> one shared tuple, see _decode
-        self._set(tuple(syms), bound, formal, degrees, formal_set, shift,
-                  unit, guard, {}, by_field)
+        self._set(tuple(syms), bound, formal, degrees, formal_set, bits,
+                  (1 << bits) - 1, shift, unit, guard, {}, by_field)
 
     def __repr__(self):
         names = ",".join(s.name for s in self.symbols)
@@ -267,13 +283,14 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
         Equal factors share one tuple, since values keep their decoded terms.
         Only the nonzero fields are visited: each step jumps to the field of
         the lowest set bit."""
+        bits, mask = self._bits, self._mask
         mono = []
         degree = rank = 0
-        key >>= _BITS
+        key >>= bits
         while key:
-            i = ((key & -key).bit_length() - 1) // _BITS
-            e = key >> _BITS * i & _FIELD
-            key -= e << _BITS * i
+            i = ((key & -key).bit_length() - 1) // bits
+            e = key >> bits * i & mask
+            key -= e << bits * i
             name, weight, shift = self._by_field[i]
             degree += e * weight
             rank -= e << shift
@@ -293,21 +310,22 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
         return ChowPoly(self, out)
 
 
-def _split(terms, top):
+def _split(terms, top, mask):
     """The term map split by degree: one map for each degree ``0..top``;
-    terms above ``top`` are dropped."""
+    terms above ``top`` are dropped.  ``mask`` is the ring's ``_mask``."""
     pieces = [{} for _ in range(top + 1)]
     for key, c in terms.items():
-        d = key & _FIELD
+        d = key & mask
         if d <= top:
             pieces[d][key] = c
     return pieces
 
 
-def _by_degree(terms):
-    """Terms sorted by degree, and the degree of each."""
-    items = sorted(terms.items(), key=lambda kc: kc[0] & _FIELD)
-    return items, [key & _FIELD for key, _ in items]
+def _by_degree(terms, mask):
+    """Terms sorted by degree, the degree of each, and the ring's ``_mask``
+    that reads it."""
+    items = sorted(terms.items(), key=lambda kc: kc[0] & mask)
+    return items, [key & mask for key, _ in items], mask
 
 
 def _mul_into(out, left, right, limit):
@@ -318,13 +336,13 @@ def _mul_into(out, left, right, limit):
     A left term whose room reaches the right operand's top degree pairs with
     all of ``right`` as it stands, with no search and no slice; that is every
     term of a product by a linear factor but those at the limit."""
-    items, degrees = right
+    items, degrees, mask = right
     if not items:
         return
     top = degrees[-1]
     get = out.get
     for k1, c1 in left.items():
-        room = limit - (k1 & _FIELD)
+        room = limit - (k1 & mask)
         if room >= top:
             pairs = items
         elif room < 0:
@@ -367,9 +385,10 @@ def _power(base, exponent, one):
     return result
 
 
-def _divide_unit(num, tail, limit):
+def _divide_unit(num, tail, limit, mask):
     """The term map of ``num / (1 + tail)``, dropping terms of degree above
-    ``limit``; every term of ``tail`` must have positive degree.
+    ``limit``; every term of ``tail`` must have positive degree, and
+    ``mask`` is the ring's ``_mask``.
 
     The quotient is finished degree by degree: once all lower degrees have
     pushed ``-term * tail`` into it, degree ``d`` holds exactly the
@@ -377,9 +396,9 @@ def _divide_unit(num, tail, limit):
     turn.  The cost is one pass over the pairs of a quotient term and a tail
     term whose degree stays within ``limit``.
     """
-    buckets = _split(num, limit)
+    buckets = _split(num, limit, mask)
     negated = [(e, [(key, -c) for key, c in part.items()])
-               for e, part in enumerate(_split(tail, limit)) if part]
+               for e, part in enumerate(_split(tail, limit, mask)) if part]
     out = {}
     for d, bucket in enumerate(buckets):
         room = limit - d
@@ -439,14 +458,16 @@ class ChowPoly:
         seen = 0
         for key in self._terms:
             seen |= key
+        mask = self.ring._mask
         return {name for name, shift in self.ring._shift.items()
-                if seen >> shift & _FIELD}
+                if seen >> shift & mask}
 
     def uses_formal(self):
         return any(self.ring.is_formal(n) for n in self.symbols_used())
 
     def is_homogeneous(self, degree=None):
-        degs = {key & _FIELD for key in self._terms}
+        mask = self.ring._mask
+        degs = {key & mask for key in self._terms}
         return len(degs) <= 1 and (degree is None or degs <= {degree})
 
     def coefficient(self, exponents):
@@ -467,8 +488,8 @@ class ChowPoly:
     def _canonical(self):
         """``(codims, terms)``: :meth:`terms` sorted once, and field 0 of each key."""
         if self._canon is None:
-            decode = self.ring._decode
-            items = [decode(key) + (key & _FIELD, c)
+            decode, mask = self.ring._decode, self.ring._mask
+            items = [decode(key) + (key & mask, c)
                      for key, c in self._terms.items()]
             items.sort()
             self._canon = ([t[2] for t in items], [(t[1], t[3]) for t in items])
@@ -514,7 +535,8 @@ class ChowPoly:
         if other is None:
             return NotImplemented
         out = {}
-        _mul_into(out, self._terms, _by_degree(other._terms), ring.bound)
+        _mul_into(out, self._terms, _by_degree(other._terms, ring._mask),
+                  ring.bound)
         return ring._finish(out)
 
     __rmul__ = __mul__
@@ -559,16 +581,18 @@ class ChowPoly:
         """The homogeneous pieces of codimension ``0..bound``, adding up to the
         value; codimension is the truncated degree (formal variables count 0)."""
         if self._pieces is None:
-            self._pieces = [ChowPoly(self.ring, piece)
-                            for piece in _split(self._terms, self.ring.bound)]
+            ring = self.ring
+            self._pieces = [ChowPoly(ring, piece) for piece
+                            in _split(self._terms, ring.bound, ring._mask)]
         return list(self._pieces)
 
     def truncate(self, degree):
         """Drop all terms of codimension above ``degree``."""
         if degree >= self.ring.bound:
             return self
+        mask = self.ring._mask
         return ChowPoly(self.ring, {key: c for key, c in self._terms.items()
-                                    if key & _FIELD <= degree})
+                                    if key & mask <= degree})
 
     # -- formal-variable calculus ---------------------------------------
 
@@ -576,10 +600,10 @@ class ChowPoly:
         """``{e: {key without name: coeff}}``: the terms grouped by their
         exponent of the formal variable ``name``."""
         self.ring._require_formal(name)
-        shift = self.ring._shift[name]
+        shift, mask = self.ring._shift[name], self.ring._mask
         groups = {}
         for key, c in self._terms.items():
-            e = key >> shift & _FIELD
+            e = key >> shift & mask
             groups.setdefault(e, {})[key - (e << shift)] = c
         return groups
 
@@ -643,4 +667,5 @@ def expand_ratio(numerator, denominator):
         raise SymbolError("division by a class in formal variables is not available")
     ring = numerator.ring
     tail = {key: c for key, c in denominator._terms.items() if key}
-    return ChowPoly(ring, _divide_unit(numerator._terms, tail, ring.bound))
+    return ChowPoly(ring, _divide_unit(numerator._terms, tail, ring.bound,
+                                       ring._mask))

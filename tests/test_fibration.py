@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from relchern import (BundleSpec, ChowRing, ContextError, FermatFamily,
                       FormalBase, HypersurfaceSpec, ModeError, ProjClass,
-                      ProjectiveSpaceBase, Symbol, UnsupportedDegreeError,
+                      ProjectiveSpaceBase, StratumData, Symbol,
+                      UnsupportedDegreeError,
                       alpha_class, euler_characteristic, expand_ratio,
                       pushforward_closed_form, pushforward_series, q_class,
                       q_class_display, q_rational, relative_chern_class,
@@ -493,6 +494,40 @@ def test_dual_route_grid():
                     f"stratified and pushforward routes disagree at "
                     f"n={n}, d={d}, base_dim={dim}: "
                     f"{stratified} != {pushed}")
+
+
+def strata_as_written_out(fam, base):
+    # the strata with every CSM class formed as c(B) times a ratio, the
+    # formulas written out before the multipliers in L were factored out
+    L = base.ring.sym(fam.divisor)
+    n, d = fam.n, fam.degree
+    one = base.ring.one
+    cX = base.chern_polynomial()
+    chi0 = smooth_hypersurface_euler(n, d)
+    chi1 = chi0 + (-1) ** n * (d - 1) ** (n - 1)
+    chi2 = chi0 + (-1) ** n * (d - 1) ** n
+    f = (d - 1) * L
+    g = d * L
+    delta = d * (d - 1) * L
+    chern_common_zero = cX * f * g / ((one + f) * (one + g))
+    csm_discriminant = cX * (
+        delta / (one + delta)
+        + ((d - 2) * (d - 1)) * f * g
+        / ((one + delta) * (one + delta + (1 - d) * f) * (one + delta + (2 - d) * g)))
+    return StratumData(chi0, chi1, chi2, f, g, delta,
+                       csm_discriminant, chern_common_zero)
+
+
+def test_chern_by_strata_is_the_weighted_sum_of_the_strata():
+    for n, d, dim in itertools.product(range(1, 5), range(2, 6), range(9)):
+        fam = FermatFamily(n, d, base_dim=dim)
+        base = fam.formal_base()
+        s = fam.strata(base)
+        assert s == strata_as_written_out(fam, base), (n, d, dim)
+        assembled = (s.chi0 * base.chern_polynomial()
+                     + (s.chi1 - s.chi0) * s.csm_discriminant
+                     + (s.chi2 - s.chi1) * s.chern_common_zero)
+        assert fam.chern_by_strata(base) == assembled, (n, d, dim)
 
 
 def test_dual_route_integrated_example():

@@ -438,7 +438,7 @@ def naive_truncated_product(left, right, limit):
     out = {}
     for k1, c1 in left.items():
         for k2, c2 in right.items():
-            if (k1 + k2) & _FIELD <= limit:
+            if (k1 + k2) & TALL._mask <= limit:
                 out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
     return out
 
@@ -454,10 +454,10 @@ def naive_truncated_product(left, right, limit):
 @example(TALL.zero, 2 + TALL.sym("L"), 1 + TALL.sym("M"), "negative", 0)
 def test_mul_into_equals_the_naive_truncated_product(start, left, right, case,
                                                      offset):
-    top = max((key & _FIELD for key in right._terms), default=0)
+    top = max((key & TALL._mask for key in right._terms), default=0)
     limit = LIMITS[case](top, offset)
     out = dict(start._terms)
-    _mul_into(out, left._terms, _by_degree(right._terms), limit)
+    _mul_into(out, left._terms, _by_degree(right._terms, TALL._mask), limit)
     expected = dict(start._terms)
     for key, c in naive_truncated_product(left._terms, right._terms,
                                           limit).items():
