@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import re
 
-from .ring import ChowError, ChowRing, Symbol, SymbolError, _Frozen, _is_int
+from .ring import (ChowError, ChowRing, Symbol, SymbolError, _check_bound,
+                   _Frozen, _is_int)
 
 
 class SpecializationError(ChowError):
@@ -46,6 +47,7 @@ class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
         if fano and not divisors:
             raise ValueError("a fano base needs a divisor to stand for the "
                              "anticanonical class")
+        _check_bound(dim)  # before c1..c_dim are built, one per dimension
         symbols = [Symbol(f"c{i}", i) for i in range(1, dim + 1)]
         symbols += [Symbol(name, 1) for name in divisors]
         self._set(dim, divisors, bool(fano), ChowRing(symbols, dim))

@@ -34,7 +34,8 @@ import math
 
 from .ring import (ChowError, ChowPoly, ContextError, Fraction, NonUnitError,
                    _by_degree, _coerced, _divide_unit, _Frozen, _is_int,
-                   _mul_into, _nonzero_rational, _power, expand_ratio)
+                   _mul_into, _negated_tail, _nonzero_rational, _power,
+                   expand_ratio)
 
 
 class BundleError(ChowError):
@@ -97,9 +98,11 @@ class BundleSpec(_Frozen, fields=("roots",)):
     Construction merges repeated forms into a single entry with summed
     multiplicity and orders roots canonically (zero first).  A root list
     without a zero entry is rejected; apply :func:`normalize_twist` first.
+    The private slot ``_chern`` keeps :meth:`total_chern` once built;
+    equality, ``repr`` and copies ignore it.
     """
 
-    __slots__ = ("roots", "ring")
+    __slots__ = ("roots", "ring", "_chern")
 
     def __init__(self, roots):
         entries, ring = _root_entries(roots)
@@ -117,7 +120,7 @@ class BundleSpec(_Frozen, fields=("roots",)):
                               "with normalize_twist before building the bundle")
         nonzero = sorted((e for e in merged if not e[0].is_zero()),
                          key=lambda e: str(e[0]))
-        self._set(tuple(zero + nonzero), ring)
+        self._set(tuple(zero + nonzero), ring, None)
         if self.rank < 2:
             raise BundleError("bundle rank must be at least 2")
 
@@ -140,8 +143,10 @@ class BundleSpec(_Frozen, fields=("roots",)):
         return self.roots[1:]
 
     def total_chern(self):
-        return self.ring._finish(_linear_product(
-            self.ring, [(1, form._terms, mult) for form, mult in self.roots]))
+        if self._chern is None:
+            object.__setattr__(self, "_chern", self.ring._finish(_linear_product(
+                self.ring, [(1, form._terms, mult) for form, mult in self.roots])))
+        return self._chern
 
     def __repr__(self):
         body = ", ".join(f"({form})^{mult}" for form, mult in self.roots)
@@ -207,10 +212,12 @@ class ProjClass:
         # quotient z is found coefficient by coefficient in H:
         # z_n = (a_n - sum_(k >= 1) u_k z_(n-k)) / u_0, each truncated at the
         # codimension H^n leaves room for, and the division by u_0 is
-        # _divide_unit
+        # _divide_unit, with the tail of u_0 split once, at the ring's bound,
+        # which serves every smaller limit
         ring = bundle.ring
         dmax = bundle.ambient_dim
-        tail = {key: c for key, c in den[0]._terms.items() if key}
+        tail = _negated_tail({key: c for key, c in den[0]._terms.items() if key},
+                             ring.bound, ring._mask)
         negated = _negated_table(den)
         quotient = []
         for n in range(dmax + 1):

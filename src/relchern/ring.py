@@ -86,6 +86,13 @@ def _rational(value):
     raise TypeError(f"exact rational expected, got {value!r}")
 
 
+def _check_bound(bound):
+    """A truncation bound is an ``int`` in ``[0, _MAX_EXP]``, so no degree
+    or exponent a ring keeps can set a field's top bit."""
+    if not _is_int(bound) or not 0 <= bound <= _MAX_EXP:
+        raise GradeError(f"truncation bound must be an integer in [0, {_MAX_EXP}]")
+
+
 class _Frozen:
     """An immutable record of the fields named in ``__slots__``, compared,
     hashed and shown by those fields as a frozen dataclass would be, without
@@ -164,11 +171,10 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
 
     __slots__ = ("symbols", "bound", "formal", "_degrees", "_formal_set",
                  "_bits", "_mask", "_shift", "_unit", "_guard", "_factors",
-                 "_by_field")
+                 "_by_field", "_syms")
 
     def __init__(self, symbols, bound, formal=()):
-        if not _is_int(bound) or not 0 <= bound <= _MAX_EXP:
-            raise GradeError(f"truncation bound must be an integer in [0, {_MAX_EXP}]")
+        _check_bound(bound)
         syms = [s if isinstance(s, Symbol) else Symbol(*s) for s in symbols]
         syms.sort(key=lambda s: (s.degree, s.name))
         formal = tuple(sorted(formal))
@@ -191,9 +197,10 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
         # field i + 1: its name, its degree and its exponent's shift in a rank
         by_field = [(name, degrees[name], bits * (len(order) - i - 1))
                     for i, name in enumerate(order)]
-        # _factors: (name, exp) -> one shared tuple, see _decode
+        # _factors: (name, exp) -> one shared tuple, see _decode;
+        # _syms: name -> the value of sym(name), filled on first use
         self._set(tuple(syms), bound, formal, degrees, formal_set, bits,
-                  (1 << bits) - 1, shift, unit, guard, {}, by_field)
+                  (1 << bits) - 1, shift, unit, guard, {}, by_field, {})
 
     def __repr__(self):
         names = ",".join(s.name for s in self.symbols)
@@ -229,8 +236,11 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
         return ChowPoly(self, {0: q} if q else {})
 
     def sym(self, name):
-        self.degree_of(name)
-        return self._from_monomials({((name, 1),): 1})
+        value = self._syms.get(name)
+        if value is None:
+            self.degree_of(name)
+            value = self._syms[name] = self._from_monomials({((name, 1),): 1})
+        return value
 
     def linear(self, coeffs):
         """Linear combination of symbols from a ``{name: rational}`` map."""
@@ -299,15 +309,21 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
         return (degree, rank), tuple(mono)
 
     def _finish(self, terms):
-        # drops zero terms and stores integral coefficients as int
-        out = {}
+        """The value of the term map ``terms``, taking ownership of the
+        dict: zero coefficients are deleted and integral ``Fraction``s
+        become ``int`` in place, so the surviving terms keep their order.
+        Pass only a dict built for this call, never a value's ``_terms``."""
+        zeros = []
         for key, c in terms.items():
-            if c:
-                out[key] = (c.numerator if c.__class__ is Fraction
-                            and c.denominator == 1 else c)
-        if self._guard and any(key & self._guard for key in out):
+            if not c:
+                zeros.append(key)
+            elif c.__class__ is Fraction and c.denominator == 1:
+                terms[key] = c.numerator
+        for key in zeros:
+            del terms[key]
+        if self._guard and any(key & self._guard for key in terms):
             raise ChowError(f"formal exponent above {_MAX_EXP}")
-        return ChowPoly(self, out)
+        return ChowPoly(self, terms)
 
 
 def _split(terms, top, mask):
@@ -335,12 +351,21 @@ def _mul_into(out, left, right, limit):
 
     A left term whose room reaches the right operand's top degree pairs with
     all of ``right`` as it stands, with no search and no slice; that is every
-    term of a product by a linear factor but those at the limit."""
+    term of a product by a linear factor but those at the limit.  A right
+    operand of one term whose key is 0, a constant, scales the left terms
+    within the limit in one pass.  The key decides, not the degree: a bare
+    formal monomial has degree 0 too."""
     items, degrees, mask = right
     if not items:
         return
-    top = degrees[-1]
     get = out.get
+    if len(items) == 1 and not items[0][0]:
+        c2 = items[0][1]
+        for k1, c1 in left.items():
+            if k1 & mask <= limit:
+                out[k1] = get(k1, 0) + c1 * c2
+        return
+    top = degrees[-1]
     for k1, c1 in left.items():
         room = limit - (k1 & mask)
         if room >= top:
@@ -385,20 +410,30 @@ def _power(base, exponent, one):
     return result
 
 
-def _divide_unit(num, tail, limit, mask):
+def _negated_tail(tail, limit, mask):
+    """The terms of ``tail`` up to degree ``limit``, negated and grouped by
+    degree: ``(degree, [(key, -coeff), ...])`` for each degree that has
+    terms, lowest first, as :func:`_divide_unit` takes them.  ``mask`` is
+    the ring's ``_mask``."""
+    return [(e, [(key, -c) for key, c in part.items()])
+            for e, part in enumerate(_split(tail, limit, mask)) if part]
+
+
+def _divide_unit(num, negated, limit, mask):
     """The term map of ``num / (1 + tail)``, dropping terms of degree above
-    ``limit``; every term of ``tail`` must have positive degree, and
-    ``mask`` is the ring's ``_mask``.
+    ``limit``; ``negated`` is :func:`_negated_tail` of ``tail``, split at
+    ``limit`` or above, every term of ``tail`` must have positive degree,
+    and ``mask`` is the ring's ``_mask``.
 
     The quotient is finished degree by degree: once all lower degrees have
     pushed ``-term * tail`` into it, degree ``d`` holds exactly the
     quotient's degree-``d`` terms, which then push into higher degrees in
     turn.  The cost is one pass over the pairs of a quotient term and a tail
-    term whose degree stays within ``limit``.
+    term whose degree stays within ``limit``; tail terms above the room of
+    a quotient term are never reached, so one split serves every smaller
+    limit.
     """
     buckets = _split(num, limit, mask)
-    negated = [(e, [(key, -c) for key, c in part.items()])
-               for e, part in enumerate(_split(tail, limit, mask)) if part]
     out = {}
     for d, bucket in enumerate(buckets):
         room = limit - d
@@ -667,5 +702,6 @@ def expand_ratio(numerator, denominator):
         raise SymbolError("division by a class in formal variables is not available")
     ring = numerator.ring
     tail = {key: c for key, c in denominator._terms.items() if key}
-    return ChowPoly(ring, _divide_unit(numerator._terms, tail, ring.bound,
+    negated = _negated_tail(tail, ring.bound, ring._mask)
+    return ChowPoly(ring, _divide_unit(numerator._terms, negated, ring.bound,
                                        ring._mask))

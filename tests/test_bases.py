@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from relchern import (FormalBase, ProjectiveSpaceBase, SpecializationError,
-                      SymbolError, specialize)
+from relchern import (FormalBase, GradeError, ProjectiveSpaceBase,
+                      SpecializationError, SymbolError, specialize)
 from tests.randgen import random_poly
 
 
@@ -25,6 +25,17 @@ def test_formal_chern_polynomial():
         base.chern_symbol(3)
     with pytest.raises(SymbolError):
         base.chern_symbol(0)
+
+
+def test_an_oversized_formal_dimension_fails_before_any_symbol_is_built(
+        monkeypatch):
+    def no_symbol(*args):
+        raise AssertionError("a symbol was built before the bound was checked")
+
+    monkeypatch.setattr("relchern.bases.Symbol", no_symbol)
+    for dim in (2 ** 31, 99999999999):
+        with pytest.raises(GradeError):
+            FormalBase(dim)
 
 
 def test_integrate_examples():

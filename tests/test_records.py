@@ -192,3 +192,25 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_filled_caches_leave_rings_and_bundles_as_fresh_ones():
+    # ChowRing.sym and BundleSpec.total_chern keep their values in slots
+    # that no comparison, hash, repr, copy or pickle reads
+    ring, fresh_ring = FormalBase(3).ring, FormalBase(3).ring
+    assert ring.sym("L") is ring.sym("L") and ring.sym("c2") is ring.sym("c2")
+    bundle, fresh_bundle = weierstrass().bundle, weierstrass().bundle
+    chern = bundle.total_chern()
+    assert bundle.total_chern() is chern
+    assert ring._syms and not fresh_ring._syms and fresh_bundle._chern is None
+    assert hash(ring) == hash(fresh_ring)
+    assert pickle.dumps(ring) == pickle.dumps(fresh_ring)
+    for value, fresh, cache in ((ring, fresh_ring, "_syms"),
+                                (bundle, fresh_bundle, "_chern")):
+        assert value == fresh and repr(value) == repr(fresh)
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert clone == fresh and repr(clone) == repr(fresh)
+            assert not getattr(clone, cache)
+    with pytest.raises(TypeError):
+        hash(bundle)  # ChowPoly roots are unhashable

@@ -3,9 +3,11 @@ exact ``int``/``Fraction`` coefficients, the canonical term order, the
 synthetic division behind the divided-difference route, the exact
 division by units behind ``expand_ratio`` and ``ProjClass`` division, the
 reduction by the Grothendieck relation, the one notion of codimension,
-the truncated degree, the terms and pieces each value computes once, and
-the products of linear factors that build ``c(E)`` and ``Q = N/D`` on term
-maps."""
+the truncated degree, the terms and pieces each value computes once, the
+products of linear factors that build ``c(E)`` and ``Q = N/D`` on term
+maps, and the kernels' fixed costs paid once: values finished in place,
+constant operands in one pass, a unit's tail split once per quotient and
+``c(E)`` kept on its bundle."""
 
 import random
 from fractions import Fraction
@@ -20,7 +22,8 @@ from relchern import (BundleSpec, ChowError, ChowPoly, ChowRing, FermatFamily,
                       pushforward_closed_form, pushforward_series, q_rational,
                       to_latex)
 from relchern.pushforward import _exact_linear_quotient, _linear_product
-from relchern.ring import _BITS, _FIELD, _MAX_EXP, _by_degree, _mul_into
+from relchern.ring import (_BITS, _FIELD, _MAX_EXP, _by_degree, _divide_unit,
+                           _mul_into, _negated_tail)
 from tests.randgen import (random_bundle, random_form, random_poly,
                            random_rational, random_setup)
 
@@ -568,3 +571,96 @@ def test_term_map_routes_match_the_operator_formulas_on_random_data(seed):
     pushed = pushforward_series(cls)
     assert pushed == operator_pushforward_series(cls)
     assert_exact(pushed)
+
+
+# -- fixed costs paid once ---------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(formal_polys(), formal_polys(),
+       st.sampled_from([1, -2, Fraction(3, 2), Fraction(4, 2)]),
+       st.sampled_from([(), (("x", 1),), (("x", 2), ("y", 1))]),
+       st.integers(-1, 4))
+@example(FORMAL.zero, FORMAL.sym("L") + FORMAL.sym("x"), 2, (("x", 1),), 1)
+def test_mul_into_by_one_degree_0_term_equals_the_naive_product(start, left, c,
+                                                               mono, limit):
+    # a constant and a bare formal monomial both have degree 0; only the
+    # constant, of key 0, takes the one-pass branch
+    right = FORMAL._from_monomials({mono: c})._terms
+    out = dict(start._terms)
+    _mul_into(out, left._terms, _by_degree(right, FORMAL._mask), limit)
+    expected = dict(start._terms)
+    for k1, c1 in left._terms.items():
+        for k2, c2 in right.items():
+            if (k1 + k2) & FORMAL._mask <= limit:
+                expected[k1 + k2] = expected.get(k1 + k2, 0) + c1 * c2
+    assert out == expected
+
+
+def rebuilt_finish(ring, terms):
+    # the term map _finish built before it finished in place
+    out = {}
+    for key, c in terms.items():
+        if c:
+            out[key] = (c.numerator if c.__class__ is Fraction
+                        and c.denominator == 1 else c)
+    if ring._guard and any(key & ring._guard for key in out):
+        raise ChowError(f"formal exponent above {_MAX_EXP}")
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([RING, FORMAL]),
+       st.lists(st.tuples(st.integers(0, 2 ** 70),
+                          st.one_of(st.sampled_from([0, Fraction(0), Fraction(6, 3),
+                                                     Fraction(-4, 2), Fraction(1, 2)]),
+                                    st.integers(-3, 3),
+                                    st.fractions(max_denominator=4))),
+                max_size=12))
+def test_finish_in_place_equals_the_rebuild(ring, pairs):
+    terms = dict(pairs)
+    try:
+        expected = rebuilt_finish(ring, dict(terms))
+    except ChowError:
+        with pytest.raises(ChowError):
+            ring._finish(terms)
+        return
+    value = ring._finish(terms)
+    assert value._terms is terms
+    # the same survivors, in the same order, with the same types
+    assert [(key, c, type(c)) for key, c in value._terms.items()] == \
+        [(key, c, type(c)) for key, c in expected.items()]
+    assert_exact(value)
+
+
+def test_finish_in_place_keeps_the_formal_exponent_guard():
+    over = (_MAX_EXP + 1) << FORMAL._shift["x"]
+    for terms in ({over: 1}, {0: Fraction(2, 2), over: Fraction(3, 1)}):
+        with pytest.raises(ChowError):
+            FORMAL._finish(terms)
+    assert FORMAL._finish({over: 0, 0: Fraction(2, 2)})._terms == {0: 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(TALL), polys(TALL), polys(TALL))
+@example(TALL.sym("L") + 1, TALL.sym("L") * 2 + TALL.sym("M") ** 3,
+         TALL.sym("c2") ** 4)
+def test_divide_unit_by_a_tail_split_at_the_bound_serves_every_limit(num, a, b):
+    tail = {key: c for key, c in (a + b)._terms.items() if key}
+    whole = _negated_tail(tail, TALL.bound, TALL._mask)
+    for limit in range(TALL.bound + 1):
+        own = _negated_tail(tail, limit, TALL._mask)
+        quotient = _divide_unit(num._terms, whole, limit, TALL._mask)
+        assert list(quotient.items()) == list(
+            _divide_unit(num._terms, own, limit, TALL._mask).items())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_total_chern_is_kept_and_equals_the_product_from_scratch(seed):
+    _, bundle, _ = random_setup(random.Random(seed))
+    ring = bundle.ring
+    chern = bundle.total_chern()
+    assert bundle.total_chern() is chern
+    scratch = _linear_product(ring, [(1, form._terms, mult)
+                                     for form, mult in bundle.roots])
+    assert chern == ring._finish(scratch) == operator_total_chern(bundle)
