@@ -159,17 +159,21 @@ def _build_base(cfg):
     raise ValidationError("base.kind must be 'formal' or 'projective'")
 
 
+def _names(base):
+    """The class of each name a job may use: the base ring's symbols,
+    overridden by ``base.bindings()``."""
+    return {**{s.name: base.ring.sym(s.name) for s in base.ring.symbols},
+            **base.bindings()}
+
+
 def _form(mapping, base):
     _require(isinstance(mapping, dict), "a linear form must be an object")
-    ring = base.ring
-    bound = base.bindings()
-    out = ring.zero
+    names = _names(base)
+    out = base.ring.zero
     for name, coeff in mapping.items():
         coeff = _as_int(coeff, f"coefficient of {name}")
-        if name in bound:
-            out = out + coeff * bound[name]
-        elif name in ring._degrees:
-            out = out + coeff * ring.sym(name)
+        if name in names:
+            out = out + coeff * names[name]
         elif isinstance(base, ProjectiveSpaceBase) and name == base.divisor:
             out = out + coeff * base.divisor_class()  # unbound: raises
         else:
@@ -235,10 +239,8 @@ def _run(cfg):
                  "push needs a class expression (--class or config 'class')")
         # the expression's H is the untwisted hyperplane class, H - M_0 here
         bundle, m0 = _twist(_build_roots(cfg, base))
-        names = {s.name: base.ring.sym(s.name) for s in base.ring.symbols}
-        names.update(base.bindings())
         env = {name: ProjClass.from_base(bundle, cls)
-               for name, cls in names.items()}
+               for name, cls in _names(base).items()}
         env["H"] = ProjClass.hyperplane(bundle) - m0
         tree = parse_class_expr(cfg["class"])
         value = evaluate(tree, env, lambda v: ProjClass.constant(bundle, v))

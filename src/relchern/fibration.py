@@ -39,11 +39,11 @@ from __future__ import annotations
 import math
 
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase
-from .pushforward import (BundleSpec, ProjClass, _linear_product, _product,
-                          _twist, pushforward_series)
+from .pushforward import (BundleSpec, ProjClass, _product, _twist,
+                          pushforward_series)
 from .render import _text_power, format_terms
 from .ring import (ChowError, ContextError, Fraction, _Frozen, _is_int,
-                   expand_ratio)
+                   _linear_product, expand_ratio)
 
 
 class UnsupportedDegreeError(ChowError):
@@ -135,7 +135,7 @@ def q_rational(hyp):
     ``S`` and ``D`` differ only in the constant of each factor, by ``d``, so
     ``S - D`` is divisible by ``d`` when the roots and ``beta`` are
     integral, and then ``N`` is integral too.  ``D``, ``S`` and ``N`` are
-    built on term maps (:func:`~relchern.pushforward._linear_product`); an
+    built on term maps (:func:`~relchern.ring._linear_product`); an
     integral coefficient of ``S - D`` is divided by ``d`` as an ``int``.
     """
     ring, beta, d = hyp.bundle.ring, hyp.beta, hyp.degree

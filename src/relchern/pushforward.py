@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import math
 
-from .ring import (ChowError, ChowPoly, ContextError, Fraction, NonUnitError,
-                   _by_degree, _coerced, _divide_unit, _Frozen, _is_int,
-                   _mul_into, _negated_tail, _nonzero_rational, _power,
-                   expand_ratio)
+from .ring import (ChowError, ChowPoly, ContextError, Fraction, _coerced, _Frozen,
+                   _is_int, _linear_product, _mul_into, _negated_table,
+                   _nonzero_rational, _power, _unit_divider, expand_ratio)
 
 
 class BundleError(ChowError):
@@ -68,28 +67,6 @@ def _root_entries(roots):
         if not (form.is_zero() or form.is_homogeneous(1)):
             raise BundleError(f"Chern root {form} is not homogeneous of codimension 1")
     return entries, ring
-
-
-def _linear_product(ring, factors):
-    """The term map of ``prod (c + form)**mult`` over the ``(c, form, mult)``
-    in ``factors``: ``c`` a rational, ``form`` the term map of a class with
-    no constant term.  Each factor multiplies the running map once per unit
-    of ``mult`` through :func:`_mul_into`, so no term above the ring's bound
-    is formed and no value is built.  The map may hold zero coefficients and
-    integral ``Fraction`` ones; ``ring._finish`` drops and converts them."""
-    bound = ring.bound
-    out = {0: 1}
-    for c, form, mult in factors:
-        if not form:
-            scale = c ** mult
-            out = {key: v * scale for key, v in out.items()}
-            continue
-        right = _by_degree({0: c, **form} if c else form, ring._mask)
-        for _ in range(mult):
-            product = {}
-            _mul_into(product, out, right, bound)
-            out = product
-    return out
 
 
 class BundleSpec(_Frozen, fields=("roots",)):
@@ -153,21 +130,13 @@ class BundleSpec(_Frozen, fields=("roots",)):
         return f"BundleSpec[{body}]"
 
 
-def _negated_table(coeffs):
-    """``(k, -coeffs[k])`` for each nonzero coefficient after the first, in
-    the form :func:`_mul_into` takes."""
-    return [(k, _by_degree({key: -c for key, c in u._terms.items()},
-                           u.ring._mask))
-            for k, u in enumerate(coeffs) if k and u]
-
-
 def _product(bundle, left, right):
     """Term maps of the ``H**k`` coefficients of ``left * right`` on the
     projectivization; ``left`` lists term maps, ``right`` base classes."""
     bound, dmax = bundle.ring.bound, bundle.ambient_dim
     # widths m and n reach only the slots H^0 .. H^(m + n - 2)
     out = [{} for _ in range(min(dmax + 1, len(left) + len(right) - 1))]
-    right = [_by_degree(b._terms, b.ring._mask) for b in right]
+    right = [b._degree_table() for b in right]
     for i, a in enumerate(left):
         for j, b in enumerate(right[:dmax + 1 - i]):
             # the H^(i+j) coefficient keeps codimension <= dmax - i - j
@@ -211,13 +180,11 @@ class ProjClass:
         # classes u_k of the base ring, with u_0 of constant term 1.  The
         # quotient z is found coefficient by coefficient in H:
         # z_n = (a_n - sum_(k >= 1) u_k z_(n-k)) / u_0, each truncated at the
-        # codimension H^n leaves room for, and the division by u_0 is
-        # _divide_unit, with the tail of u_0 split once, at the ring's bound,
-        # which serves every smaller limit
+        # codimension H^n leaves room for; u_0 is checked to be a unit, and
+        # one divider by it serves every limit
         ring = bundle.ring
         dmax = bundle.ambient_dim
-        tail = _negated_tail({key: c for key, c in den[0]._terms.items() if key},
-                             ring.bound, ring._mask)
+        divide = _unit_divider(den[0])
         negated = _negated_table(den)
         quotient = []
         for n in range(dmax + 1):
@@ -227,7 +194,7 @@ class ProjClass:
                 if k > n:
                     break
                 _mul_into(z, quotient[n - k], u, limit)
-            quotient.append(_divide_unit(z, tail, limit, ring._mask))
+            quotient.append(divide(z, limit))
         return cls._normalized(bundle, [ChowPoly(ring, z) for z in quotient])
 
     @classmethod
@@ -260,6 +227,8 @@ class ProjClass:
             if other.bundle != self.bundle:
                 raise ContextError("classes live on different projectivizations")
             return other
+        if isinstance(other, ChowPoly) and other.ring != self.bundle.ring:
+            raise ContextError("operands belong to different ring contexts")
         if isinstance(other, (int, Fraction, ChowPoly)):
             return ProjClass(self.bundle, [other])
         return None
@@ -306,8 +275,6 @@ class ProjClass:
         (:meth:`_quotient`)."""
         if len(other.coeffs) <= 1 and other.coeff(0).is_constant():
             return self * Fraction(1, _nonzero_rational(other.constant_term()))
-        if other.constant_term() != 1:
-            raise NonUnitError("division requires a denominator with constant term 1")
         return ProjClass._quotient(self.bundle, [a._terms for a in self.coeffs],
                                    other.coeffs)
 
@@ -316,6 +283,8 @@ class ProjClass:
         return other.__truediv__(self)
 
     def __eq__(self, other):
+        if isinstance(other, ChowPoly) and other.ring != self.bundle.ring:
+            return False
         if _is_int(other) or isinstance(other, (Fraction, ChowPoly)):
             other = ProjClass(self.bundle, [other])
         if not isinstance(other, ProjClass):
@@ -417,8 +386,7 @@ def pushforward_series(cls):
     pieces = inverse_total_chern(bundle).components()
     out = {}
     for a, piece in zip(cls.coeffs[bundle.fiber_dim:], pieces):
-        _mul_into(out, a._terms, _by_degree(piece._terms, ring._mask),
-                  ring.bound)
+        _mul_into(out, a._terms, piece._degree_table(), ring.bound)
     return ring._finish(out)
 
 
@@ -446,12 +414,12 @@ def divided_difference(coeffs, points, ring=None):
     for c in lifted:
         if c.symbols_used() & banned:
             raise ChowError("coefficients must not involve the point variables")
-    # G(x) for each point: the keys of coefficient p shifted by x^p; the
-    # coefficients are free of x, so no two shifted keys collide
-    row = [ChowPoly(ring, {key + p * ring._unit[name]: c
-                           for p, a in enumerate(lifted)
-                           for key, c in a._terms.items()})
-           for name in points]
+    row = []  # G(x) for each point, by Horner's rule
+    for name in points:
+        x, g = ring.sym(name), ring.zero
+        for a in reversed(lifted):
+            g = g * x + a
+        row.append(g)
     for step in range(1, len(points)):
         row = [_exact_linear_quotient(row[i] - row[i + 1],
                                       points[i], points[i + step], ring)
@@ -463,28 +431,26 @@ def _exact_linear_quotient(value, a, b, ring):
     # value / (xa - xb) for formal a, b, by synthetic division in xa with
     # coefficients P_e free of xa: the quotient's xa^(e-1) coefficient is
     # q_(e-1) = P_e + xb*q_e, and the remainder P_0 + xb*q_0 must vanish,
-    # which the divided-difference recursion guarantees
+    # which the divided-difference recursion guarantees; the quotient is
+    # summed by Horner's rule in xa
     groups = value._by_power(a)
-    unit_a, unit_b = ring._unit[a], ring._unit[b]
-    quotient = {}
-    carry = {}
+    xa, xb = ring.sym(a), ring.sym(b)
+    quotient = carry = ring.zero
     for e in range(max(groups, default=0), -1, -1):
-        carry = {key + unit_b: c for key, c in carry.items()}
-        for key, c in groups.get(e, {}).items():
-            carry[key] = carry.get(key, 0) + c
-        carry = ring._finish(carry)._terms
+        carry = carry * xb + groups.get(e, 0)
         if e:
-            quotient.update((key + (e - 1) * unit_a, c) for key, c in carry.items())
+            quotient = quotient * xa + carry
     if carry:
         raise ChowError("internal error: inexact division in divided difference")
-    return ring._finish(quotient)
+    return quotient
 
 
 def _formal_names(ring, count):
+    taken = {s.name for s in ring.symbols}
     names = []
     for i in range(1, count + 1):
         name = f"x{i}"
-        while name in ring._degrees or name in names:
+        while name in taken or name in names:
             name = "_" + name
         names.append(name)
     return names
@@ -518,10 +484,9 @@ def pushforward_closed_form(cls):
     for name, (_, mult) in zip(points, roots):
         k = mult - 1
         if k:
-            # (1/k!) d^k/dx^k (x^k g) takes x^e to comb(e + k, k) x^e
-            unit = aux._unit[name]
-            g = aux._finish({key + e * unit: c * math.comb(e + k, k)
-                             for e, part in g._by_power(name).items()
-                             for key, c in part.items()})
+            g = g * aux.sym(name) ** k  # (1/k!) d^k/dx^k (x^k g)
+            for _ in range(k):
+                g = g.derivative(name)
+            g = g / math.factorial(k)
     return g.rewrite({name: -form for name, (form, _) in zip(points, roots)},
                      ring)

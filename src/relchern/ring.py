@@ -344,6 +344,14 @@ def _by_degree(terms, mask):
     return items, [key & mask for key, _ in items], mask
 
 
+def _negated_table(coeffs):
+    """``(k, -coeffs[k])`` for each nonzero class after the first, with
+    ``-coeffs[k]`` in the form :func:`_mul_into` takes."""
+    return [(k, _by_degree({key: -c for key, c in u._terms.items()},
+                           u.ring._mask))
+            for k, u in enumerate(coeffs) if k and u]
+
+
 def _mul_into(out, left, right, limit):
     """Add the product of ``left`` (a term map) and ``right`` (from
     :func:`_by_degree`) to ``out``, skipping pairs whose degree would pass
@@ -377,6 +385,23 @@ def _mul_into(out, left, right, limit):
         for k2, c2 in pairs:
             key = k1 + k2
             out[key] = get(key, 0) + c1 * c2
+
+
+def _linear_product(ring, factors):
+    """The term map of ``prod (c + form)**mult`` over the ``(c, form, mult)``
+    in ``factors``: ``c`` a rational, ``form`` the term map of a class of
+    ``ring`` with no constant term.  Each factor multiplies the running map
+    once per unit of ``mult`` through :func:`_mul_into`, a constant factor
+    in one pass, so no term above the bound is formed and no value is built.
+    ``ring._finish`` drops the map's zeros and converts integral ``Fraction``s."""
+    out = {0: 1}
+    for c, form, mult in factors:
+        right = _by_degree({0: c, **form} if c else form, ring._mask)
+        for _ in range(mult):
+            product = {}
+            _mul_into(product, out, right, ring.bound)
+            out = product
+    return out
 
 
 def _coerced(method):
@@ -452,6 +477,20 @@ def _divide_unit(num, negated, limit, mask):
                     k = key + k2
                     target[k] = get(k, 0) + c * c2
     return out
+
+
+def _unit_divider(unit):
+    """``divide(terms, limit)``: the term map of ``terms / unit`` up to degree
+    ``limit`` (:func:`_divide_unit`).  ``unit`` must have constant term 1 and
+    no formal variables; its tail is split once, at the bound, for every limit."""
+    ring = unit.ring
+    if unit.constant_term() != 1:
+        raise NonUnitError("division requires a denominator with constant term 1")
+    if ring.formal and unit.uses_formal():
+        raise SymbolError("division by a class in formal variables is not available")
+    negated = _negated_tail({key: c for key, c in unit._terms.items() if key},
+                            ring.bound, ring._mask)
+    return lambda terms, limit: _divide_unit(terms, negated, limit, ring._mask)
 
 
 class ChowPoly:
@@ -530,6 +569,10 @@ class ChowPoly:
             self._canon = ([t[2] for t in items], [(t[1], t[3]) for t in items])
         return self._canon
 
+    def _degree_table(self):
+        """The terms as the right operand of :func:`_mul_into` takes them."""
+        return _by_degree(self._terms, self.ring._mask)
+
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
@@ -579,14 +622,11 @@ class ChowPoly:
     def __pow__(self, exponent):
         return _power(self, exponent, self.ring.one)
 
+    @_coerced
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * Fraction(1, _nonzero_rational(other))
-        if isinstance(other, ChowPoly):
-            if other.is_constant():
-                return self.__truediv__(other.constant_term())
-            return expand_ratio(self, other)
-        return NotImplemented
+        if other.is_constant():
+            return self * Fraction(1, _nonzero_rational(other.constant_term()))
+        return expand_ratio(self, other)
 
     @_coerced
     def __rtruediv__(self, other):
@@ -632,15 +672,15 @@ class ChowPoly:
     # -- formal-variable calculus ---------------------------------------
 
     def _by_power(self, name):
-        """``{e: {key without name: coeff}}``: the terms grouped by their
-        exponent of the formal variable ``name``."""
+        """``{e: value}``: the terms grouped by their exponent ``e`` of the
+        formal variable ``name``, each group with that factor removed."""
         self.ring._require_formal(name)
         shift, mask = self.ring._shift[name], self.ring._mask
         groups = {}
         for key, c in self._terms.items():
             e = key >> shift & mask
             groups.setdefault(e, {})[key - (e << shift)] = c
-        return groups
+        return {e: ChowPoly(self.ring, part) for e, part in groups.items()}
 
     def derivative(self, name):
         """Partial derivative with respect to a formal variable."""
@@ -648,7 +688,7 @@ class ChowPoly:
         unit = self.ring._unit[name]
         return self.ring._finish({key + (e - 1) * unit: c * e
                                   for e, part in groups.items() if e
-                                  for key, c in part.items()})
+                                  for key, c in part._terms.items()})
 
     def substitute(self, name, value):
         """Replace a formal variable by a class of the same ring."""
@@ -696,12 +736,5 @@ def expand_ratio(numerator, denominator):
     if isinstance(denominator, (int, Fraction)):
         denominator = numerator.ring.const(denominator)
     numerator = denominator._coerce(numerator)
-    if denominator.constant_term() != 1:
-        raise NonUnitError("division requires a denominator with constant term 1")
-    if denominator.uses_formal():
-        raise SymbolError("division by a class in formal variables is not available")
     ring = numerator.ring
-    tail = {key: c for key, c in denominator._terms.items() if key}
-    negated = _negated_tail(tail, ring.bound, ring._mask)
-    return ChowPoly(ring, _divide_unit(numerator._terms, negated, ring.bound,
-                                       ring._mask))
+    return ChowPoly(ring, _unit_divider(denominator)(numerator._terms, ring.bound))

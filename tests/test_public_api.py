@@ -12,7 +12,11 @@ import pytest
 
 import relchern as rc
 
-WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+PACKAGE = ROOT / "src" / "relchern"
+# an attribute that reads how ring.py packs a monomial into an integer key
+KEY_LAYOUT = re.compile(r"\._(mask|unit|shift|bits|guard|by_field|degrees)\b")
 
 
 def _workload_references():
@@ -36,3 +40,12 @@ def test_benchmark_names_exist(path):
     for part in path.split("."):
         assert hasattr(owner, part), f"relchern.{path} is missing"
         owner = getattr(owner, part)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "ring.py"))
+def test_only_ring_reads_the_key_layout(name):
+    lines = (PACKAGE / name).read_text(encoding="utf-8").splitlines()
+    hits = [f"{name}:{i}: {line.strip()}" for i, line in enumerate(lines, 1)
+            if KEY_LAYOUT.search(line)]
+    assert not hits, "\n".join(hits)

@@ -70,6 +70,25 @@ def test_bundle_rejects_bad_roots():
         BundleSpec([ring.zero, ring_L(3).sym("L")])
 
 
+def test_projclass_arithmetic_rejects_a_class_of_another_ring():
+    # the ring of L here differs from the bundle's only in its bound
+    bundle = weierstrass_bundle()
+    p = ProjClass.from_base(bundle, bundle.ring.sym("L"))
+    other = ring_L(2).sym("L")
+    for op in (lambda: p + other, lambda: other + p, lambda: p * other,
+               lambda: p - other, lambda: p / (1 + other)):
+        with pytest.raises(ContextError):
+            op()
+
+
+def test_projclass_is_unequal_to_a_class_of_another_ring():
+    bundle = weierstrass_bundle()
+    p = ProjClass.from_base(bundle, bundle.ring.sym("L"))
+    assert p == bundle.ring.sym("L")
+    assert not p == ring_L(2).sym("L")
+    assert p != ChowRing([Symbol("M")], 3).sym("M")
+
+
 # -- normalize_twist ----------------------------------------------------
 
 

@@ -86,6 +86,15 @@ def test_context_mismatch_errors():
         a * b
 
 
+def test_division_by_a_class_of_another_ring_is_a_context_error():
+    # as for + and *: the rings differ only in their bound
+    a, b = ring_L(2), ring_L(3)
+    with pytest.raises(ContextError):
+        a.sym("L") / b.const(2)
+    with pytest.raises(ContextError):
+        a.sym("L") / (1 + b.sym("L"))
+
+
 def test_float_rejection():
     ring = ring_L(2)
     with pytest.raises(TypeError):
