@@ -62,20 +62,24 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+# each option and its add_argument keywords; the usage-error scan
+# (_last_value) resolves abbreviations against the same names as argparse
+_OPTIONS = {
+    "--config": {"help": "JSON job file, or - for stdin"},
+    "--class": {"dest": "class_expr", "help": "class expression (push command)"},
+    "--format": {"choices": ("text", "latex", "json")},
+    "--trunc": {"type": int, "help": "override the truncation bound (base dimension)"},
+}
+
+
 def _build_parser():
     parser = _Parser(
         prog="relchern",
         description="exact pushforwards and Euler characteristics for "
                     "hypersurface fibrations in projective bundles")
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", default=None,
-                        help="JSON job file, or - for stdin")
-    parser.add_argument("--class", dest="class_expr", default=None,
-                        help="class expression (push command)")
-    parser.add_argument("--format", choices=("text", "latex", "json"),
-                        default=None)
-    parser.add_argument("--trunc", type=int, default=None,
-                        help="override the truncation bound (base dimension)")
+    for option, keywords in _OPTIONS.items():
+        parser.add_argument(option, **keywords)
     return parser
 
 
@@ -114,8 +118,8 @@ def _load_config(args):
         _require(raw["command"] in COMMANDS,
                  f"config command {raw['command']!r} is not a command")
     fmt = args.format if args.format is not None else raw.get("format", "text")
-    _require(fmt in ("text", "latex", "json"),
-             "format must be text, latex or json")
+    formats = _OPTIONS["--format"]["choices"]
+    _require(fmt in formats, f"format must be {', '.join(formats[:-1])} or {formats[-1]}")
     trunc = args.trunc if args.trunc is not None else raw.get("trunc")
     if trunc is not None:
         trunc = _as_int(trunc, "trunc", 0)
@@ -194,7 +198,8 @@ def _build_roots(cfg, base):
     return entries
 
 
-def _build_hypersurface(cfg, base, entries):
+def _build_hypersurface(cfg, base):
+    entries = _build_roots(cfg, base)
     desc = cfg["hypersurface"]
     _require(isinstance(desc, dict), "config key 'hypersurface' must be an object")
     degree = _as_int(desc.get("degree"), "hypersurface degree", 0)
@@ -228,12 +233,6 @@ def _run(cfg):
     command = cfg["command"]
     base = _build_base(cfg)
 
-    if command == "epoly":
-        entries = _build_roots(cfg, base)
-        hyp = _build_hypersurface(cfg, base, entries)
-        return {"value": smooth_hypersurface_euler(hyp.bundle.fiber_dim,
-                                                   hyp.degree)}
-
     if command == "push":
         _require(isinstance(cfg["class"], str) and cfg["class"].strip(),
                  "push needs a class expression (--class or config 'class')")
@@ -246,8 +245,11 @@ def _run(cfg):
         value = evaluate(tree, env, lambda v: ProjClass.constant(bundle, v))
         return {"class": pushforward_series(value)}
 
-    entries = _build_roots(cfg, base)
-    hyp = _build_hypersurface(cfg, base, entries)
+    hyp = _build_hypersurface(cfg, base)
+
+    if command == "epoly":
+        return {"value": smooth_hypersurface_euler(hyp.bundle.fiber_dim,
+                                                   hyp.degree)}
 
     if command == "qclass":
         return {"class": expand_ratio(*q_rational(hyp))}
@@ -332,9 +334,6 @@ def _fail(fmt, exc, code):
     if fmt == "json":
         _print_error(code, type(exc).__name__, str(exc))
     return code
-
-
-_OPTIONS = ("--config", "--class", "--format", "--trunc")
 
 
 def _last_value(argv, option):

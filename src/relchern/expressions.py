@@ -33,36 +33,21 @@ class ParseError(ChowError):
 class Num(_Frozen):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        self._set(value)
-
 
 class Sym(_Frozen):
     __slots__ = ("name",)
-
-    def __init__(self, name):
-        self._set(name)
 
 
 class Neg(_Frozen):
     __slots__ = ("operand",)
 
-    def __init__(self, operand):
-        self._set(operand)
-
 
 class BinOp(_Frozen):
     __slots__ = ("op", "left", "right")  # op is one of + - * /
 
-    def __init__(self, op, left, right):
-        self._set(op, left, right)
-
 
 class Pow(_Frozen):
     __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent):
-        self._set(base, exponent)
 
 
 def _tokenize(text):

@@ -42,8 +42,8 @@ from .bases import FormalBase, ModeError, ProjectiveSpaceBase
 from .pushforward import (BundleSpec, ProjClass, _product, _twist,
                           pushforward_series)
 from .render import _text_power, format_terms
-from .ring import (ChowError, ContextError, Fraction, _Frozen, _is_int,
-                   _linear_product, expand_ratio)
+from .ring import (ChowError, ContextError, Fraction, Symbol, _Frozen,
+                   _is_int, _linear_product, expand_ratio)
 
 
 class UnsupportedDegreeError(ChowError):
@@ -233,11 +233,6 @@ class StratumData(_Frozen):
     __slots__ = ("chi0", "chi1", "chi2", "class_f", "class_g",
                  "class_discriminant", "csm_discriminant", "chern_common_zero")
 
-    def __init__(self, chi0, chi1, chi2, class_f, class_g, class_discriminant,
-                 csm_discriminant, chern_common_zero):
-        self._set(chi0, chi1, chi2, class_f, class_g, class_discriminant,
-                  csm_discriminant, chern_common_zero)
-
 
 class FermatFamily(_Frozen):
     """Degree-``d`` fibrations with Fermat-type fibers.
@@ -259,6 +254,7 @@ class FermatFamily(_Frozen):
             raise UnsupportedDegreeError("the family needs degree at least 2")
         if not _is_int(base_dim) or base_dim < 0:
             raise ValueError("base dimension must be a nonnegative integer")
+        Symbol(divisor)  # validates the identifier
         self._set(n, degree, base_dim, divisor)
 
     def formal_base(self):

@@ -96,8 +96,9 @@ def _check_bound(bound):
 class _Frozen:
     """An immutable record of the fields named in ``__slots__``, compared,
     hashed and shown by those fields as a frozen dataclass would be, without
-    the import and class-creation cost of :mod:`dataclasses`.  Subclasses
-    set their slots once, in ``__init__``, through :meth:`_set`.
+    the import and class-creation cost of :mod:`dataclasses`.  A plain record
+    takes its fields by position or by name, each once; a record that checks
+    them or derives state sets its slots in its own ``__init__`` (:meth:`_set`).
 
     A record whose slots also hold state derived from its fields names the
     constructor's arguments with the class keyword ``fields=(...)``; they
@@ -114,6 +115,15 @@ class _Frozen:
         get = operator.attrgetter(*names)
         cls._fields = property(get if len(names) > 1
                                else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        names = self._names
+        # an extra or repeated field makes the dict shorter than the arguments
+        values = dict(zip(names, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields "
+                            f"{', '.join(names)}, each exactly once")
+        self._set(*map(values.__getitem__, names))
 
     def _set(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -545,10 +555,12 @@ class ChowPoly:
         return len(degs) <= 1 and (degree is None or degs <= {degree})
 
     def coefficient(self, exponents):
-        """Exact coefficient of the monomial given as ``{name: exp}``."""
+        """Exact coefficient of the monomial ``{name: exp}``, exponents integers."""
         exponents = dict(exponents)
-        for name in exponents:
+        for name, e in exponents.items():
             self.ring.degree_of(name)  # an unknown name is a SymbolError
+            if not _is_int(e):
+                raise ValueError("exponent must be an integer")
         mono = tuple((n, e) for n, e in exponents.items() if e)
         if not all(0 < e <= _MAX_EXP for _, e in mono):
             return 0
@@ -731,10 +743,15 @@ def expand_ratio(numerator, denominator):
     The denominator must have constant term 1, which makes it a unit of the
     truncated ring; the quotient is computed degree by degree
     (:func:`_divide_unit`).  Formal variables are not allowed in the
-    denominator, as no power of them ever truncates away.
+    denominator, as no power of them ever truncates away.  Either operand,
+    but not both, may be an exact rational.
     """
-    if isinstance(denominator, (int, Fraction)):
-        denominator = numerator.ring.const(denominator)
-    numerator = denominator._coerce(numerator)
+    if isinstance(numerator, ChowPoly):
+        denominator = numerator._coerce(denominator)
+    elif isinstance(denominator, ChowPoly):
+        numerator = denominator._coerce(numerator)
+    if not (isinstance(numerator, ChowPoly) and isinstance(denominator, ChowPoly)):
+        raise TypeError("expand_ratio takes classes and exact rationals, "
+                        "at least one of them a class")
     ring = numerator.ring
     return ChowPoly(ring, _unit_divider(denominator)(numerator._terms, ring.bound))

@@ -841,6 +841,33 @@ def test_usage_errors_keep_the_json_contract(capsys, options):
     assert f"relchern: error: {error['message']}" in captured.err
 
 
+def test_the_usage_error_scan_resolves_abbreviations_as_argparse_does():
+    # every prefix of every long option, in both spellings: _last_value
+    # finds the value exactly where the real parser does, and nothing
+    # where argparse calls the prefix ambiguous (--c)
+    parser = cli._build_parser()
+    actions = {option: action for action in parser._actions
+               for option in action.option_strings if action.dest != "help"}
+    assert sorted(actions) == sorted(cli._OPTIONS)
+    checks = 0
+    for option, action in actions.items():
+        value = action.choices[-1] if action.choices else "1"
+        for end in range(3, len(option) + 1):
+            for spelling in ([option[:end], value], [f"{option[:end]}={value}"]):
+                argv = parser.argv = ["qclass"] + spelling
+                try:
+                    args = parser.parse_args(argv)
+                    (resolved,) = [o for o, a in actions.items()
+                                   if getattr(args, a.dest) is not None]
+                except SystemExit:
+                    resolved = None
+                for asked in actions:
+                    expected = value if asked == resolved else None
+                    assert cli._last_value(argv, asked) == expected, (argv, asked)
+                    checks += 1
+    assert checks == 176  # 22 prefixes, 2 spellings, 4 options asked
+
+
 def json_job(tmp_path):
     payload = json.loads(WEIERSTRASS_JOB_FILE.read_text(encoding="utf-8"))
     payload["format"] = "json"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from relchern import (BundleSpec, ChowRing, ContextError, FermatFamily,
                       FormalBase, HypersurfaceSpec, ModeError, ProjClass,
                       ProjectiveSpaceBase, StratumData, Symbol,
-                      UnsupportedDegreeError,
+                      SymbolError, UnsupportedDegreeError,
                       alpha_class, euler_characteristic, expand_ratio,
                       pushforward_closed_form, pushforward_series, q_class,
                       q_class_display, q_rational, relative_chern_class,
@@ -555,6 +555,14 @@ def test_family_rejects_low_degree():
     bundle = BundleSpec([base.ring.zero, (L, 2)])
     hyp = HypersurfaceSpec(1, L, bundle)
     assert not q_class(hyp).is_zero()
+
+
+def test_family_checks_its_divisor_name():
+    # as ProjectiveSpaceBase does, when the family is built
+    for name in ("1x", "", "L M", 3):
+        with pytest.raises(SymbolError):
+            FermatFamily(2, 3, divisor=name)
+    assert FermatFamily(2, 3, divisor="M").formal_base() == FormalBase(3, ("M",))
 
 
 def test_family_base_dimension_must_agree():

@@ -30,6 +30,11 @@ RECORDS = [
     (lambda: BinOp("/", Sym("L"), Num(2)),
      "BinOp(op='/', left=Sym(name='L'), right=Num(value=2))"),
     (lambda: Pow(Sym("H"), 3), "Pow(base=Sym(name='H'), exponent=3)"),
+    (lambda: Num(value=8), "Num(value=8)"),
+    (lambda: BinOp("+", Sym("L"), right=Num(2)),
+     "BinOp(op='+', left=Sym(name='L'), right=Num(value=2))"),
+    (lambda: Pow(exponent=4, base=Sym("H")),
+     "Pow(base=Sym(name='H'), exponent=4)"),
     (lambda: FermatFamily(2, 3),
      "FermatFamily(n=2, degree=3, base_dim=3, divisor='L')"),
     (lambda: FermatFamily(1, 4, base_dim=2, divisor="M"),
@@ -84,6 +89,48 @@ def test_strata_compare_by_value_and_are_immutable():
         hash(strata)  # ChowPoly values are unhashable
     with pytest.raises(AttributeError):
         strata.chi0 = 1
+
+
+# records that take their fields as they are, through _Frozen's constructor
+PLAIN = [
+    lambda: Num(7),
+    lambda: Sym("H"),
+    lambda: Neg(Num(1)),
+    lambda: BinOp("/", Sym("L"), Num(2)),
+    lambda: Pow(Sym("H"), 3),
+    lambda: FermatFamily(2, 3).strata(FormalBase(3)),
+]
+
+
+@pytest.mark.parametrize("make", PLAIN)
+def test_plain_records_take_their_fields_by_position_or_by_name(make):
+    value = make()
+    cls, names = type(value), value.__slots__
+    assert "__init__" not in vars(cls)
+    fields = [getattr(value, name) for name in names]
+    assert cls(*fields) == value == cls(**dict(zip(names, fields)))
+    assert cls(*fields[:1], **dict(zip(names[1:], fields[1:]))) == value
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls and clone == value
+        assert repr(clone) == repr(value)
+
+
+# a field left out, given twice, or not a field at all
+@pytest.mark.parametrize("call", [
+    lambda: Num(),
+    lambda: Num(1, 2),
+    lambda: Num(1, value=2),
+    lambda: Num(valu=1),
+    lambda: Num(1, valu=2),
+    lambda: BinOp("+", Num(1)),
+    lambda: BinOp("+", Num(1), Num(2), right=Num(3)),
+    lambda: StratumData(*range(7)),
+    lambda: StratumData(*range(9)),
+])
+def test_plain_records_take_each_field_exactly_once(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def weierstrass():

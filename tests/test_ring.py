@@ -275,3 +275,26 @@ def test_coefficient_of_an_unknown_symbol_is_a_symbol_error():
     for exponents in ({"Z": 1}, {"L": 1, "Z": 1}, {"Z": 0}):
         with pytest.raises(SymbolError):
             L.coefficient(exponents)
+
+
+def test_coefficient_takes_integer_exponents_only():
+    ring = ring_L(3)
+    p = (1 + ring.sym("L")) ** 3
+    assert p.coefficient({"L": 1}) == 3 and p.coefficient({"L": 0}) == 1
+    assert p.coefficient({"L": -1}) == p.coefficient({"L": 2 ** 40}) == 0
+    for exponent in (1.5, 1.0, True, "1", Fraction(1)):
+        with pytest.raises(ValueError):  # as ``p ** exponent`` would
+            p.coefficient({"L": exponent})
+
+
+def test_expand_ratio_needs_a_class_and_exact_rationals():
+    ring = ring_L(3)
+    L = ring.sym("L")
+    for numerator, denominator in (("x", ring.one), (1, 2), (L, "y"),
+                                   (0.5, 1 + L), (L, None)):
+        with pytest.raises(TypeError):
+            expand_ratio(numerator, denominator)
+    assert expand_ratio(Fraction(1, 2), 1 + L) == Fraction(1, 2) / (1 + L)
+    assert expand_ratio(1, 1 + L) == expand_ratio(ring.one, 1 + L)
+    with pytest.raises(NonUnitError):
+        expand_ratio(L, 2)
