@@ -25,17 +25,30 @@ class ModeError(ChowError):
     """Requested output mode is unavailable for this base model."""
 
 
-_CHERN_RE = re.compile(r"c(\d+)\Z")
+# c1..c(2**31 - 1), the Chern symbols of a formal base of the largest bound
+_CHERN_RE = re.compile(r"c([1-9][0-9]{0,9})\Z")
+
+
+def _divisor_symbol(name, chern=()):
+    """The degree-1 symbol of a divisor: ``name`` is a symbol name, not ``H``,
+    the hyperplane class of every ``P(E)``, nor ``c<i>`` for ``i`` in ``chern``."""
+    symbol = Symbol(name)  # validates the identifier
+    if name == "H":
+        raise SymbolError("the divisor name H is reserved")
+    index = _CHERN_RE.match(name)
+    if index and int(index[1]) in chern:
+        raise SymbolError("symbol names must be unique within a ring")
+    return symbol
 
 
 class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
     """Smooth base of dimension ``dim`` with free Chern symbols.
 
-    ``divisors`` adds degree-1 symbols (``("L",)`` by default).  With
-    ``fano=True`` the first divisor is declared to be the anticanonical
-    class: :meth:`bindings` reads it as ``c1``, so a job that names it
-    computes in ``c1`` from the start.  A fano base needs at least one
-    divisor.
+    ``divisors`` adds degree-1 symbols (``("L",)`` by default) other than
+    ``H`` and ``c1..c{dim}``.  With ``fano=True`` the first divisor is the
+    anticanonical class: :meth:`bindings` reads it as ``c1``, so a job that
+    names it computes in ``c1`` from the start.  A fano base needs at least
+    one divisor.
     """
 
     __slots__ = ("dim", "divisors", "fano", "ring")
@@ -49,7 +62,7 @@ class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
                              "anticanonical class")
         _check_bound(dim)  # before c1..c_dim are built, one per dimension
         symbols = [Symbol(f"c{i}", i) for i in range(1, dim + 1)]
-        symbols += [Symbol(name, 1) for name in divisors]
+        symbols += [_divisor_symbol(name) for name in divisors]
         self._set(dim, divisors, bool(fano), ChowRing(symbols, dim))
 
     def chern_symbol(self, i):
@@ -84,8 +97,7 @@ class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
 
     ``multiple`` optionally binds a divisor name (``"L"`` by default) to
     ``multiple * h`` so bundle data written in terms of that divisor can be
-    interpreted here.  The divisor name follows the rule of
-    :class:`~relchern.ring.Symbol` names.
+    interpreted here.  The divisor name is a symbol name other than ``H``.
     """
 
     __slots__ = ("dim", "multiple", "divisor", "ring")
@@ -95,7 +107,7 @@ class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
             raise ValueError("base dimension must be a nonnegative integer")
         if multiple is not None and not _is_int(multiple):
             raise ValueError("divisor multiple must be an integer")
-        Symbol(divisor)  # validates the identifier
+        _divisor_symbol(divisor)
         self._set(dim, multiple, divisor, ChowRing([Symbol("h", 1)], dim))
 
     def hyperplane(self):

@@ -341,7 +341,7 @@ def _last_value(argv, option):
     argparse reads it (``--format json``, ``--format=json`` or an
     unambiguous prefix such as ``--form``), or ``None``."""
     value = None
-    for arg, after in zip(argv, argv[1:] + [None]):
+    for arg, after in zip(argv, (*argv[1:], None)):
         name, eq, rest = arg.partition("=")
         if [o for o in _OPTIONS if o.startswith(name)] == [option]:
             value = rest if eq else after

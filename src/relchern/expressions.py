@@ -16,6 +16,7 @@ the same trees evaluate to base classes or to classes on a projectivization.
 from __future__ import annotations
 
 import operator
+import re
 
 from .render import all_digits
 from .ring import ChowError, SymbolError, _Frozen
@@ -50,43 +51,26 @@ class Pow(_Frozen):
     __slots__ = ("base", "exponent")
 
 
+# [0-9], as \d and str.isdigit admit "٣"; the search skips blanks between tokens
+_TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<NAME>\w+)|(?P<OP>[-+*/^()])"
+                    r"|(?P<NL>\n)|(?P<BAD>[^ \t\r])")
+
+
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch in "0123456789":  # ASCII only: str.isdigit admits "²" and "٣"
-            start = i
-            while i < len(text) and text[i] in "0123456789":
-                i += 1
-            tokens.append(("INT", int(text[start:i]), line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(("NAME", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("EOF", None, line, col))
-    return tokens
+    line, start = 1, 0  # the current line and the offset where it starts
+    for match in _TOKEN.finditer(text):
+        kind, value, col = match.lastgroup, match[0], match.start() - start + 1
+        if kind == "OP":
+            yield value, value, line, col
+        elif kind == "INT":
+            yield kind, int(value), line, col
+        elif kind == "NAME" and (value[0].isalpha() or value[0] == "_"):
+            yield kind, value, line, col
+        elif kind == "NL":
+            line, start = line + 1, match.end()
+        else:  # BAD, or a word run led by "²", "٣" or "½"
+            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+    yield "EOF", None, line, len(text) - start + 1
 
 
 MAX_NESTING = 100  # levels of parentheses; each costs a few stack frames
@@ -162,7 +146,7 @@ def parse_class_expr(text):
     :class:`ParseError` with line and column.  Integer literals may have
     any number of digits."""
     with all_digits():  # error messages quote the tokens, literals included
-        parser = _Parser(_tokenize(text))
+        parser = _Parser(list(_tokenize(text)))
         node = parser.expr()
         tok = parser.peek()
         if tok[0] != "EOF":

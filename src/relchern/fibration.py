@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import math
 
-from .bases import FormalBase, ModeError, ProjectiveSpaceBase
+from .bases import FormalBase, ModeError, ProjectiveSpaceBase, _divisor_symbol
 from .pushforward import (BundleSpec, ProjClass, _product, _twist,
                           pushforward_series)
 from .render import _text_power, format_terms
-from .ring import (ChowError, ContextError, Fraction, Symbol, _Frozen,
+from .ring import (ChowError, ContextError, Fraction, _Frozen,
                    _is_int, _linear_product, expand_ratio)
 
 
@@ -254,11 +254,14 @@ class FermatFamily(_Frozen):
             raise UnsupportedDegreeError("the family needs degree at least 2")
         if not _is_int(base_dim) or base_dim < 0:
             raise ValueError("base dimension must be a nonnegative integer")
-        Symbol(divisor)  # validates the identifier
+        _divisor_symbol(divisor, range(2, base_dim + 1))  # c1 has degree 1
         self._set(n, degree, base_dim, divisor)
 
     def formal_base(self):
-        return FormalBase(self.base_dim, divisors=(self.divisor,))
+        """The formal base of the family's dimension.  A divisor ``c1`` is its
+        anticanonical class, as a csm-check job on a fano base names it."""
+        anticanonical = self.divisor == "c1" and self.base_dim > 0
+        return FormalBase(self.base_dim, () if anticanonical else (self.divisor,))
 
     def _resolve(self, base):
         if base is None:

@@ -82,6 +82,8 @@ def test_specialize_unknown_symbol():
     with pytest.raises(SpecializationError,
                        match="divisor 'L' has no bound multiple of h"):
         specialize(base.divisor("L"), ProjectiveSpaceBase(2))
+    with pytest.raises(TypeError):
+        specialize(base.divisor("L"), FormalBase(2))
 
 
 def test_specialize_reads_the_divisor_from_bindings(monkeypatch):
@@ -96,6 +98,10 @@ def test_specialize_reads_the_divisor_from_bindings(monkeypatch):
     # h is never rebound, even when it is the named divisor
     on_h = FormalBase(3, divisors=("h",)).divisor()
     assert specialize(on_h, ProjectiveSpaceBase(3, multiple=2, divisor="h")) == h
+    # c0 and c01 are divisor names: a formal base's Chern symbols are c1..c3
+    for name in ("c0", "c01"):
+        D = FormalBase(3, divisors=(name,)).divisor()
+        assert specialize(D, ProjectiveSpaceBase(3, multiple=2, divisor=name)) == 2 * h
 
 
 def test_specialize_is_ring_homomorphism():
@@ -184,6 +190,25 @@ def test_base_equality_and_validation():
 def test_a_projective_divisor_name_is_a_symbol_name(name):
     with pytest.raises(SymbolError, match="invalid symbol name"):
         ProjectiveSpaceBase(3, 2, name)
+
+
+def test_a_divisor_is_not_named_h_or_after_a_chern_symbol():
+    # H is the hyperplane class of every P(E); c1..c_dim are the Chern
+    # symbols of a formal base, so a projective base may use those names
+    for make in (lambda name: FormalBase(2, ("L", name)),
+                 lambda name: ProjectiveSpaceBase(2, 3, name)):
+        with pytest.raises(SymbolError, match="the divisor name H is reserved"):
+            make("H")
+    for name in ("c1", "c2"):
+        with pytest.raises(SymbolError, match="unique within a ring"):
+            FormalBase(2, (name,))
+    # the ring finds a clash only once every name has passed the rule, so
+    # an invalid name is reported first
+    with pytest.raises(SymbolError, match="invalid symbol name '1x'"):
+        FormalBase(2, ("c1", "1x"))
+    assert FormalBase(2, ("h", "c3", "c0", "c01")).divisors == ("h", "c3", "c0", "c01")
+    assert ProjectiveSpaceBase(2, 3, "c1").bindings() == {
+        "c1": 3 * ProjectiveSpaceBase(2).hyperplane()}
 
 
 def test_zero_dimensional_point():

@@ -566,6 +566,18 @@ def test_a_projective_binding_needs_a_symbol_name(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "SymbolError"
 
 
+def test_an_unknown_base_kind_is_a_validation_error(tmp_path, capsys):
+    payload = json.loads(WEIERSTRASS_JOB_FILE.read_text(encoding="utf-8"))
+    payload["base"] = {"kind": "torus", "dim": 3}
+    cfg = write_config(tmp_path, payload)
+    code, out, err = run_cli(capsys, ["qclass", "--config", cfg,
+                                      "--format", "json"])
+    message = "base.kind must be 'formal' or 'projective'"
+    assert (code, err) == (2, f"error: {message}\n")
+    assert json.loads(out)["error"] == {
+        "exit_code": 2, "type": "ValidationError", "message": message}
+
+
 FLAT_SUM = "+".join(["H^2"] * 3000)  # H^2 pushes forward to 1 on a rank-3 bundle
 DEEP = "(" * 2000 + "H^2" + ")" * 2000
 
@@ -866,6 +878,15 @@ def test_the_usage_error_scan_resolves_abbreviations_as_argparse_does():
                     assert cli._last_value(argv, asked) == expected, (argv, asked)
                     checks += 1
     assert checks == 176  # 22 prefixes, 2 spellings, 4 options asked
+
+
+def test_a_parser_whose_argv_was_never_set_exits_2(capsys):
+    # the ambiguous --c is a usage error, and the usage-error scan reads
+    # the parser's default argv
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(["qclass", "--c", "x"])
+    assert exc.value.code == 2
+    assert "ambiguous option: --c" in capsys.readouterr().err
 
 
 def json_job(tmp_path):

@@ -1,8 +1,11 @@
 """Class-expression grammar: parse, render, evaluate."""
 
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relchern import (ChowRing, NonUnitError, ParseError, Symbol, SymbolError,
                       parse_class_expr, render_expr)
@@ -65,6 +68,10 @@ def test_unknown_symbol_is_an_evaluation_error():
     ("2*H\n+ 3*?", 2, 5),   # positions track line breaks
     ("L*²", 1, 3),          # literals are ASCII digits only
     ("٣*L", 1, 1),
+    ("L*½", 1, 3),
+    ("L +\t?", 1, 5),       # a tab or a CR is one column
+    ("\r\r$", 1, 3),
+    ("L\f+ 1", 1, 2),       # a form feed is not a blank
     ("(" * 101 + "L" + ")" * 101, 1, 101),  # nesting is capped at 100
     ("1 +\n" + "(" * 120 + "L" + ")" * 120, 2, 101),
 ])
@@ -72,6 +79,36 @@ def test_parse_error_positions(src, line, column):
     with pytest.raises(ParseError) as err:
         parse_class_expr(src)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+# ASCII letters and digits, the operators, blanks and line breaks, and
+# characters that are letters (é, 𝑥), digits but not ASCII ones (², ٣),
+# numeric (½) or a combining accent (U+0301)
+_TEXT = st.text(st.sampled_from(list(string.ascii_letters + string.digits
+                                     + "+-*/^() \t\r\n\f")
+                                + ["é", "𝑥", "²", "٣", "½", "\u0301"]),
+                max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXT)
+def test_parse_returns_a_tree_or_a_parse_error(text):
+    try:
+        tree = parse_class_expr(text)
+    except ParseError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+    else:
+        assert parse_class_expr(render_expr(tree)) == tree
+
+
+def test_a_value_that_is_not_a_node_is_a_type_error():
+    for bad in (3, "L", BinOp("+", Num(1), "L")):
+        with pytest.raises(TypeError, match="not an expression node"):
+            render_expr(bad)
+        with pytest.raises(TypeError, match="not an expression node"):
+            evaluate(bad, {}, int)
 
 
 def test_render_parse_fixpoint_random():

@@ -52,6 +52,8 @@ def test_hypersurface_validation():
         HypersurfaceSpec(True, L, bundle)  # a bool is not a degree
     with pytest.raises(ValueError):
         HypersurfaceSpec(2, L ** 2, bundle)  # beta must be a divisor
+    with pytest.raises(TypeError):
+        HypersurfaceSpec(2, L, [ring.zero, 2 * L])  # a root list, not a bundle
     hyp = HypersurfaceSpec(2, L, bundle)
     expected = 2 * ProjClass.hyperplane(bundle) + ProjClass.from_base(bundle, L)
     assert hyp.divisor_class() == expected
@@ -558,10 +560,19 @@ def test_family_rejects_low_degree():
 
 
 def test_family_checks_its_divisor_name():
-    # as ProjectiveSpaceBase does, when the family is built
-    for name in ("1x", "", "L M", 3):
+    # as the bases do, when the family is built: H is the hyperplane class
+    # of P(E), and c2, c3 are Chern classes of degree above 1
+    for name in ("1x", "", "L M", 3, "H", "c2", "c3"):
         with pytest.raises(SymbolError):
             FermatFamily(2, 3, divisor=name)
+    assert FermatFamily(2, 3, divisor="c4").formal_base() == FormalBase(3, ("c4",))
+    # c1 is the anticanonical class of the base
+    anticanonical = FermatFamily(2, 3, divisor="c1")
+    base = anticanonical.formal_base()
+    assert base == FormalBase(3, ())
+    assert anticanonical.chern_by_strata() == relative_chern_class(
+        anticanonical.hypersurface(), base)
+    assert FermatFamily(2, 3, 0, "c1").formal_base() == FormalBase(0, ("c1",))
     assert FermatFamily(2, 3, divisor="M").formal_base() == FormalBase(3, ("M",))
 
 

@@ -116,6 +116,7 @@ def test_normalize_twist_negative_first_root():
     bundle, cls = normalize_twist([-L, L], [ring.one])
     assert bundle.nonzero_roots == ((2 * L, 1),)
     assert cls == ProjClass.constant(bundle, 1)
+    assert normalize_twist([-L, L]) == (bundle, None)
 
 
 # -- series route -------------------------------------------------------
@@ -195,6 +196,8 @@ def test_divided_difference_quadratic():
     ring, pts = make_points(2)
     out = divided_difference(monomial_power(ring, 2), pts, ring)
     assert out == ring.sym("x1") + ring.sym("x2")
+    # the ring defaults to that of the first coefficient
+    assert divided_difference(monomial_power(ring, 2), pts) == out
 
 
 def enumerated_complete_homogeneous(ring, names, degree):
@@ -287,6 +290,17 @@ def test_closed_form_rank_without_nontrivial_roots():
     cls = ProjClass.from_base(b, L) * ProjClass.hyperplane(b) ** 2
     assert pushforward_closed_form(cls) == L
     assert pushforward_series(cls) == L
+
+
+def test_closed_form_points_avoid_the_base_symbol_names():
+    # the formal points are named x1, x2, ... unless the base already uses
+    # the name, as it does here for both x1 and _x1
+    ring = ChowRing([Symbol("x1"), Symbol("_x1")], 3)
+    x, y = ring.sym("x1"), ring.sym("_x1")
+    bundle = BundleSpec([ring.zero, x, (x + y, 2)])
+    H = ProjClass.hyperplane(bundle)
+    for cls in (H ** 4, H ** 5 + ProjClass.from_base(bundle, y) * H ** 3):
+        assert pushforward_closed_form(cls) == pushforward_series(cls) != 0
 
 
 # -- cross-route properties ----------------------------------------------
@@ -427,6 +441,16 @@ def test_proj_class_algebra():
     assert (H ** 2).coeff(2) == 1 and (H ** 2).coeff(1) == 0
     # a bool is not an exact rational, so it equals no class
     assert (ProjClass.constant(bundle, 1) == True) is False  # noqa: E712
+    # a scalar on the left
+    assert 1 - H == ProjClass.constant(bundle, 1) - H
+    assert 1 / (1 + H) == (1 + H).inverse()
+    with pytest.raises(TypeError):
+        H + "x"
+    c = H ** 2 - 2 * L * H + 6 * L
+    assert str(c) == "(6*L) + (-2*L)*H + (1)*H^2"
+    assert repr(c) == f"ProjClass({c})"
+    assert str(H ** 2 + 6 * L) == "(6*L) + (1)*H^2"  # zero coefficients are left out
+    assert str(H - H) == "0"
 
 
 def test_proj_class_length_cap():

@@ -266,6 +266,8 @@ def test_convert_between_contexts():
     clash = ChowRing([Symbol("L", 2)], 4)
     with pytest.raises(ContextError):
         clash.convert(p)
+    with pytest.raises(TypeError):
+        big.convert("L")
 
 
 def test_coefficient_of_an_unknown_symbol_is_a_symbol_error():
