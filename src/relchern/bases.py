@@ -150,19 +150,19 @@ class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
 def specialize(cls, base):
     """Map a formal-base class into projective space.
 
-    Chern symbols ``c_i`` become the Chern components of projective space,
-    the bound divisor becomes its class in :meth:`ProjectiveSpaceBase.bindings`
-    (``h`` is never rebound), and the result is truncated at the target
-    dimension.  An unbound divisor, or any other surviving symbol, raises
-    :class:`SpecializationError`.
+    Chern symbols ``c_i``, the symbols ``c<i>`` of degree ``i``, become the
+    Chern components of projective space, the bound divisor becomes its class
+    in :meth:`ProjectiveSpaceBase.bindings` (``h`` is never rebound), and the
+    result is truncated at the target dimension.  An unbound divisor, or any
+    other surviving symbol, raises :class:`SpecializationError`.
     """
     if not isinstance(base, ProjectiveSpaceBase):
         raise TypeError("specialize targets a ProjectiveSpaceBase")
     mapping = {"h": base.hyperplane(), **base.bindings()}
     for name in cls.symbols_used():
         match = _CHERN_RE.match(name)
-        if match:
-            mapping[name] = base.chern_component(int(match.group(1)))
+        if match and cls.ring.degree_of(name) == int(match[1]):
+            mapping[name] = base.chern_component(int(match[1]))
         elif name == base.divisor and name not in mapping:
             base.divisor_class()  # unbound, so this raises
         elif name not in mapping:

@@ -9,9 +9,8 @@ of the total space, the Sethi-Vafa-Witten formula.
 
 ``Q`` is computed three ways.  :func:`q_class` pushes :func:`alpha_class`
 forward by the series route; :func:`q_class_display` reduces it by the
-Grothendieck relation.  The two share one build of the class: it is made
-once per spec, one linear factor in ``H`` at a time through the product
-that every class on the projectivization uses, and kept on the spec.
+Grothendieck relation.  The two share one build of the class, made once
+per spec from the bundle's cached ``c(E)`` and kept on the spec.
 :func:`q_rational` needs no pushforward: with
 ``M_j`` the roots (multiplicities ``m_j``, ``r`` in all) and
 ``y = d*H + beta``, ``Q`` is the sum of the residues at ``H = -M_j`` of
@@ -42,8 +41,8 @@ from .bases import FormalBase, ModeError, ProjectiveSpaceBase, _divisor_symbol
 from .pushforward import (BundleSpec, ProjClass, _product, _twist,
                           pushforward_series)
 from .render import _text_power, format_terms
-from .ring import (ChowError, ContextError, Fraction, _Frozen,
-                   _is_int, _linear_product, expand_ratio)
+from .ring import (ChowError, ContextError, _Frozen, _is_int, _linear_product,
+                   expand_ratio)
 
 
 class UnsupportedDegreeError(ChowError):
@@ -100,20 +99,20 @@ def alpha_class(hyp):
     ``(1 + H)^k0 * prod (1 + H + L_i)^ki * y / (1 + y)``: the total Chern
     class of the ambient relative tangent bundle times the adjunction
     factor of the hypersurface.  It is built once per spec and kept there
-    (no route changes a class it is given), one linear factor in ``H`` at a
-    time through the product that :class:`ProjClass` multiplies with, and
-    then divided by ``1 + y`` through :meth:`ProjClass._quotient`.
+    (no route changes a class it is given).  By the relative Euler sequence
+    that Chern class is ``sum_i c_i(E) (1 + H)^(r-i)``, so its ``H^k``
+    coefficient scales the graded pieces of :meth:`BundleSpec.total_chern`:
+    ``sum_i C(r-i, k) c_i(E)``.  It is multiplied by ``y`` once, and divided
+    by ``1 + y`` through :meth:`ProjClass._quotient`.
     """
     if hyp._alpha is not None:
         return hyp._alpha
-    bundle, ring = hyp.bundle, hyp.bundle.ring
-    one, beta, d = ring.one, hyp.beta, ring.const(hyp.degree)
-    coeffs = [{0: 1}]  # term maps of the H^k coefficients
-    for form, mult in bundle.roots:
-        for _ in range(mult):
-            coeffs = _product(bundle, coeffs, (one + form, one))
-    coeffs = _product(bundle, coeffs, (beta, d))
-    alpha = ProjClass._quotient(bundle, coeffs, (one + beta, d))
+    bundle, ring, beta = hyp.bundle, hyp.bundle.ring, hyp.beta
+    chern, r, d = bundle.total_chern(), bundle.rank, ring.const(hyp.degree)
+    coeffs = [chern._graded_scale([math.comb(r - i, k) for i in range(r - k + 1)])
+              for k in range(min(r, bundle.ambient_dim) + 1)]
+    coeffs = _product(bundle, [c._terms for c in coeffs], (beta, d))
+    alpha = ProjClass._quotient(bundle, coeffs, (ring.one + beta, d))
     object.__setattr__(hyp, "_alpha", alpha)
     return alpha
 
@@ -132,32 +131,25 @@ def q_rational(hyp):
     degree at most ``r``; for ``d = 0``, ``N = r*beta`` and
     ``D = 1 + beta``.  ``expand_ratio(N, D)`` equals :func:`q_class`.
 
-    ``S`` and ``D`` differ only in the constant of each factor, by ``d``, so
-    ``S - D`` is divisible by ``d`` when the roots and ``beta`` are
-    integral, and then ``N`` is integral too.  ``D``, ``S`` and ``N`` are
-    built on term maps (:func:`~relchern.ring._linear_product`); an
-    integral coefficient of ``S - D`` is divided by ``d`` as an ``int``.
+    Each ``beta - d*M_j`` is zero or of degree 1, so ``S_k = (1 - d)^(r-k) D_k``
+    for each graded piece, and only ``D`` is built, on term maps
+    (:func:`~relchern.ring._linear_product`).  Then
+    ``N_k = (r + ((1 - d)^(r-k) - 1) / d) D_k``, whose weight is an integer
+    as ``(1 - d)^m`` is 1 modulo ``d``: ``N`` is integral when ``D`` is.
     """
     ring, beta, d = hyp.bundle.ring, hyp.beta, hyp.degree
     rank = hyp.bundle.rank
     if d == 0:
         return rank * beta, ring.one + beta
-    forms = []  # the term map of beta - d*M_j, and m_j
+    factors = []  # 1, the term map of beta - d*M_j, and m_j
     for form, mult in hyp.bundle.roots:
         linear = dict(beta._terms)
         for key, c in form._terms.items():
             linear[key] = linear.get(key, 0) - d * c
-        forms.append(({key: c for key, c in linear.items() if c}, mult))
-    den = _linear_product(ring, [(1, form, mult) for form, mult in forms])
-    shifted = _linear_product(ring, [(1 - d, form, mult) for form, mult in forms])
-    diff = dict(shifted)  # S - D
-    for key, c in den.items():
-        diff[key] = diff.get(key, 0) - c
-    num = {}
-    for key, c in diff.items():
-        c = c // d if c.__class__ is int and not c % d else Fraction(c, d)
-        num[key] = rank * den.get(key, 0) + c
-    return ring._finish(num), ring._finish(den)
+        factors.append((1, {key: c for key, c in linear.items() if c}, mult))
+    den = ring._finish(_linear_product(ring, factors))
+    weights = [rank + ((1 - d) ** (rank - k) - 1) // d for k in range(rank + 1)]
+    return den._graded_scale(weights), den
 
 
 def q_class_display(hyp):

@@ -673,6 +673,14 @@ class ChowPoly:
                             in _split(self._terms, ring.bound, ring._mask)]
         return list(self._pieces)
 
+    def _graded_scale(self, weights):
+        """The class whose codimension-``k`` piece is ``weights[k]`` times this
+        one's, in one pass over the terms; pieces from ``len(weights)`` on drop."""
+        top, mask = len(weights), self.ring._mask
+        return self.ring._finish({key: c * weights[key & mask]
+                                  for key, c in self._terms.items()
+                                  if key & mask < top})
+
     def truncate(self, degree):
         """Drop all terms of codimension above ``degree``."""
         if degree >= self.ring.bound:

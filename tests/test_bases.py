@@ -104,6 +104,28 @@ def test_specialize_reads_the_divisor_from_bindings(monkeypatch):
         assert specialize(D, ProjectiveSpaceBase(3, multiple=2, divisor=name)) == 2 * h
 
 
+def test_specialize_reads_c_i_as_a_chern_class_only_at_degree_i():
+    # c5 of degree 1 is a divisor on a dimension-2 base, not the Chern class c5
+    D = FormalBase(2, ("c5",)).divisor()
+    p2 = ProjectiveSpaceBase(2, 3, "c5")
+    h = p2.hyperplane()
+    assert specialize(D, p2) == 3 * h
+    assert specialize(D ** 2 + 2 * D, p2) == 9 * h ** 2 + 6 * h
+    with pytest.raises(SpecializationError,
+                       match="divisor 'c5' has no bound multiple of h"):
+        specialize(D, ProjectiveSpaceBase(2, divisor="c5"))
+    with pytest.raises(SpecializationError, match="cannot specialize symbol 'c5'"):
+        specialize(D, ProjectiveSpaceBase(2, 3))
+    # the Chern symbols c1..c_dim still map to the Chern classes of P^dim
+    base = FormalBase(3, ("c5",))
+    p3 = ProjectiveSpaceBase(3, 2, "c5")
+    h = p3.hyperplane()
+    c1, c2, c3 = (base.chern_symbol(i) for i in (1, 2, 3))
+    assert specialize(c1, p3) == 4 * h
+    assert specialize(c2, p3) == 6 * h ** 2
+    assert specialize(c3 + c1 * c2 + base.divisor(), p3) == 28 * h ** 3 + 2 * h
+
+
 def test_specialize_is_ring_homomorphism():
     rng = random.Random(101)
     base = FormalBase(3)

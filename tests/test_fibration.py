@@ -17,6 +17,7 @@ from relchern import (BundleSpec, ChowRing, ContextError, FermatFamily,
                       pushforward_closed_form, pushforward_series, q_class,
                       q_class_display, q_rational, relative_chern_class,
                       smooth_hypersurface_euler, specialize, svw_components)
+from relchern import fibration
 from tests import golden_cases
 from tests.randgen import (DIVISORS, random_base, random_bundle, random_form,
                            random_proj_class)
@@ -108,6 +109,31 @@ def test_the_q_routes_run_no_generic_projclass_product(monkeypatch):
     assert alpha_class(hyp) == alpha
     assert q_class(hyp) == q == q_reduced
     assert q_class_display(hyp) == q_reduced
+
+
+def test_alpha_class_and_q_rational_run_one_product_pass(monkeypatch):
+    # alpha reads the cached c(E) and multiplies by y once; q_rational builds
+    # D alone and scales its graded pieces into N: no product runs per root
+    base = FormalBase(4, ("L", "M"))
+    L, M = base.ring.sym("L"), base.ring.sym("M")
+    hyp = HypersurfaceSpec.from_roots(3, 2 * L + M,
+                                      [L, (M, 2), L + M, (3 * L, 3)])
+    calls = {"_product": 0, "_linear_product": 0}
+
+    def counting(name):
+        inner = getattr(fibration, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fibration, name, counting(name))
+    alpha_class(hyp)
+    assert calls == {"_product": 1, "_linear_product": 0}
+    q_rational(hyp)
+    assert calls == {"_product": 1, "_linear_product": 1}
 
 
 # -- alpha ------------------------------------------------------------------

@@ -5,9 +5,10 @@ division by units behind ``expand_ratio`` and ``ProjClass`` division, the
 reduction by the Grothendieck relation, the one notion of codimension,
 the truncated degree, the terms and pieces each value computes once, the
 products of linear factors that build ``c(E)`` and ``Q = N/D`` on term
-maps, and the kernels' fixed costs paid once: values finished in place,
-constant operands in one pass, a unit's tail split once per quotient and
-``c(E)`` kept on its bundle."""
+maps, the graded scaling that builds alpha's relative Chern class from
+``c(E)`` and ``N`` from ``D``, and the kernels' fixed costs paid once:
+values finished in place, constant operands in one pass, a unit's tail
+split once per quotient and ``c(E)`` kept on its bundle."""
 
 import random
 from fractions import Fraction
@@ -228,8 +229,9 @@ def test_alpha_class_matches_the_geometric_series(seed):
 
 
 def alpha_cases():
-    """Hypersurfaces at the edges of the linear-factor build: multiplicity 3
-    or more, degree 0 with and without ``beta``, base dims 0, 1 and 60."""
+    """Hypersurfaces at the edges of the build from ``c(E)``: multiplicity 3
+    or more, degree 0 with and without ``beta``, base dims 0 (where ``H^r``
+    is above the ambient dimension), 1 and 60."""
     for dim in (0, 1, 4, 60):
         ring = FormalBase(dim, divisors=("L", "M")).ring
         L, M, zero = ring.sym("L"), ring.sym("M"), ring.zero
@@ -484,6 +486,35 @@ def test_linear_product_equals_the_product_of_its_factors(factors):
     assert TALL._finish(product) == expected
 
 
+def test_graded_scale_examples():
+    L, M, c2 = RING.sym("L"), RING.sym("M"), RING.sym("c2")
+    p = 2 + 3 * L - M + L * M + c2 + L ** 3
+    # weights shorter than the top degree drop the higher pieces
+    assert p._graded_scale([5, 7]) == 10 + 21 * L - 7 * M
+    assert p._graded_scale([]) == 0
+    # zero weights leave no zero terms
+    scaled = p._graded_scale([0, 1, 0, 2])
+    assert scaled == 3 * L - M + 2 * L ** 3
+    assert_exact(scaled)
+    # integral Fraction results become int
+    q = Fraction(1, 2) + Fraction(2, 3) * L + Fraction(1, 4) * c2
+    scaled = q._graded_scale([2, Fraction(3, 2), Fraction(8, 3), 1])
+    assert scaled == 1 + L + Fraction(2, 3) * c2
+    assert_exact(scaled)  # no Fraction of denominator 1 is left
+
+
+@settings(max_examples=100, deadline=None)
+@given(formal_polys(), st.lists(st.sampled_from([0, 1, -3, Fraction(1, 2),
+                                                 Fraction(4, 2)]), max_size=6))
+def test_graded_scale_weights_each_piece(p, weights):
+    # formal variables count 0: the piece is the truncated degree
+    expected = sum((w * p.component(k) for k, w in enumerate(weights[:4])),
+                   FORMAL.zero)
+    scaled = p._graded_scale(weights)
+    assert scaled == expected
+    assert_exact(scaled)
+
+
 # The formulas that built c(E), Q = N/D and the series push from ChowPoly
 # operators, kept as the oracle for the term-map versions.
 
@@ -516,7 +547,7 @@ def operator_pushforward_series(cls):
 
 
 def linear_factor_cases():
-    """Degrees 0 to 4 (at 1 the constant of each factor of ``S`` is 0),
+    """Degrees 0 to 4 (at 1 every ``(1 - d)^(r-k)`` below the top piece is 0),
     multiplicities above 1, forms ``beta - d*M_j`` that vanish, a
     ``Fraction`` beta, the Weierstrass job and the Fermat grid."""
     for dim in (0, 1, 4):
