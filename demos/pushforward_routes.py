@@ -6,9 +6,8 @@ pushforward to the base can be computed two ways:
 
   * the series route: H^(rank-1+k) maps to the codimension-k piece of
     1/c(E), then the projection formula handles the coefficients;
-  * the closed-form route: a Newton divided difference over one formal
-    variable per distinct Chern root, with a correction operator for
-    repeated roots, evaluated at the negated roots.
+  * the closed-form route: a Newton divided difference at the negated
+    Chern roots, each repeated by its multiplicity, by synthetic division.
 
 The two implementations share no code beyond the ring, so their agreement
 on random inputs is a strong correctness check.  This script shows them
@@ -62,7 +61,7 @@ def main():
     show("\npush of H^2 (top fiber power)", distinct, H ** 2)
     show("push of H^4", distinct, H ** 4)
 
-    # a repeated root forces the derivative-based correction
+    # a repeated root is a repeated node: the confluent divided difference
     repeated = BundleSpec([ring.zero, (L, 2)])
     G = ProjClass.hyperplane(repeated)
     show("\npush of H^3 on O + L + L (repeated root)", repeated, G ** 3)

@@ -35,8 +35,8 @@ def main():
     for k in range(ring.bound + 1):
         print(f"  codim {k}:", p.component(k))
 
-    # formal variables are exempt from truncation; the pushforward
-    # machinery uses them for divided differences
+    # formal variables are exempt from truncation; divided_difference
+    # takes its points among them
     formal = ring.with_formal(["x"])
     x = formal.sym("x")
     tall = x ** 7 + formal.convert(L) * x ** 5

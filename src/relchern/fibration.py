@@ -174,7 +174,11 @@ def euler_characteristic(hyp, base, as_integer=None):
     ``as_integer=False`` for the class instead).  Over a formal base the
     symbolic class is returned; requesting ``as_integer=True`` there is a
     :class:`ModeError`, since free Chern symbols cannot be integrated.
+    ``as_integer`` is ``None``, ``True`` or ``False``; any other value is a
+    :class:`TypeError`.
     """
+    if as_integer is not None and not isinstance(as_integer, bool):
+        raise TypeError(f"as_integer must be None, True or False, not {as_integer!r}")
     top = relative_chern_class(hyp, base).component(base.dim)
     if isinstance(base, ProjectiveSpaceBase):
         if as_integer is False:

@@ -8,11 +8,10 @@ coefficients (:class:`ProjClass`).
 Three mathematically independent evaluations of the pushforward are
 provided.  The series route applies the projection formula monomial by
 monomial: ``H**(r-1+k)`` pushes to the codimension-``k`` part of the inverse
-total Chern class of the bundle.  The closed-form route assembles a single
-polynomial from the coefficients, takes an exact Newton divided difference
-over one formal variable per distinct nonzero root, applies a normalized
-multi-derivative operator for repeated roots and substitutes the negated
-roots.  The reduction route rewrites a class by the Grothendieck relation
+total Chern class of the bundle.  The closed-form route takes the Newton
+divided difference of the coefficients' polynomial at the negated roots,
+each repeated by its multiplicity, by synthetic division in the base ring.
+The reduction route rewrites a class by the Grothendieck relation
 ``H**r + c_1(E) H**(r-1) + ... + c_r(E) = 0`` until it has at most ``r``
 coefficients (:meth:`ProjClass.reduce`); its ``H**(r-1)`` coefficient is
 the pushforward.  The three agree identically, so comparing them is a
@@ -29,8 +28,6 @@ which give one exact rational expression in the roots, ``d`` and ``beta``.
 """
 
 from __future__ import annotations
-
-import math
 
 from .ring import (ChowError, ChowPoly, ContextError, Fraction, _coerced, _Frozen,
                    _is_int, _linear_product, _mul_into, _negated_table,
@@ -396,16 +393,19 @@ def pushforward_series(cls):
 def divided_difference(coeffs, points, ring=None):
     """Newton divided difference of ``sum(coeffs[k] * t**k)`` at ``points``.
 
-    ``points`` are formal variables of ``ring``; the coefficients must not
-    involve them.  The order of the difference is ``len(points) - 1``; every
-    division performed by the recursion is exact (verified), and the result
-    is symmetric in the points.
+    ``points`` are formal variables of ``ring``, which defaults to the ring
+    of the first class among the coefficients; the coefficients must not
+    involve them.  The order of the difference is ``len(points) - 1``; the
+    result is symmetric in the points, and a point repeated ``k + 1`` times
+    gives the confluent value, the ``k``-th derivative there over ``k!``.
     """
-    points = list(points)
+    coeffs, points = list(coeffs), list(points)
     if not points:
         raise ValueError("at least one point is required")
     if ring is None:
-        ring = coeffs[0].ring
+        ring = next((c.ring for c in coeffs if isinstance(c, ChowPoly)), None)
+        if ring is None:
+            raise ValueError("no coefficient is a class; pass the ring")
     for name in points:
         if not ring.is_formal(name):
             raise ChowError(f"point {name!r} is not a formal variable")
@@ -414,79 +414,41 @@ def divided_difference(coeffs, points, ring=None):
     for c in lifted:
         if c.symbols_used() & banned:
             raise ChowError("coefficients must not involve the point variables")
-    row = []  # G(x) for each point, by Horner's rule
-    for name in points:
-        x, g = ring.sym(name), ring.zero
-        for a in reversed(lifted):
-            g = g * x + a
-        row.append(g)
-    for step in range(1, len(points)):
-        row = [_exact_linear_quotient(row[i] - row[i + 1],
-                                      points[i], points[i + step], ring)
-               for i in range(len(row) - 1)]
-    return row[0]
+    return ring._finish(_divided_difference(
+        ring, [c._terms for c in lifted], [ring.sym(name) for name in points]))
 
 
-def _exact_linear_quotient(value, a, b, ring):
-    # value / (xa - xb) for formal a, b, by synthetic division in xa with
-    # coefficients P_e free of xa: the quotient's xa^(e-1) coefficient is
-    # q_(e-1) = P_e + xb*q_e, and the remainder P_0 + xb*q_0 must vanish,
-    # which the divided-difference recursion guarantees; the quotient is
-    # summed by Horner's rule in xa
-    groups = value._by_power(a)
-    xa, xb = ring.sym(a), ring.sym(b)
-    quotient = carry = ring.zero
-    for e in range(max(groups, default=0), -1, -1):
-        carry = carry * xb + groups.get(e, 0)
-        if e:
-            quotient = quotient * xa + carry
-    if carry:
-        raise ChowError("internal error: inexact division in divided difference")
-    return quotient
+def _divided_difference(ring, coeffs, nodes):
+    """The term map of ``f[x_1, ..., x_m]``, ``f(t) = sum coeffs[k] t**k``
+    (term maps of ``ring``), at the classes ``nodes``, equal ones allowed.
 
-
-def _formal_names(ring, count):
-    taken = {s.name for s in ring.symbols}
-    names = []
-    for i in range(1, count + 1):
-        name = f"x{i}"
-        while name in taken or name in names:
-            name = "_" + name
-        names.append(name)
-    return names
+    Synthetic division divides ``f`` by ``t - x_1``, the quotient by
+    ``t - x_2`` and so on: ``g`` by ``t - x`` leaves the quotient
+    ``q_(k-1) = g_k + x*q_k`` and the remainder ``g_0 + x*q_0 = g(x)``.
+    The first quotient is ``f[x_1, t]``, so the last remainder is the
+    difference.  Every product is truncated at the ring's bound."""
+    carry = {}
+    for node in nodes:
+        x, carry, quotient = node._degree_table(), {}, []
+        for g in reversed(coeffs):
+            quotient.append(carry)
+            carry = dict(g)
+            _mul_into(carry, quotient[-1], x, ring.bound)
+        coeffs = quotient[:0:-1]  # q_0 .. q_(n-1)
+    return carry
 
 
 def pushforward_closed_form(cls):
     """Pushforward via exact divided differences.
 
-    The coefficients of ``cls`` from index ``rank - 1`` upward are packed
-    into one polynomial ``G`` (shifted down by ``rank - m`` where ``m``
-    counts distinct nonzero roots), its ``(m-1)``-st divided difference is
-    taken at one formal point per distinct root, repeated roots are handled
-    by the normalized operator ``g -> (1/k!) d^k/dx^k (x^k g)``, and each
-    point is finally replaced by the negated root.  Coefficients below
-    ``H**(rank - 1)`` push forward to zero and are not packed.  The result
-    equals :func:`pushforward_series`.
+    The pushforward of ``f(H)`` is the divided difference of ``f`` at the
+    ``rank`` negated Chern roots, each repeated by its multiplicity, the
+    zero root included: ``H**(rank-1+k)`` gives the complete homogeneous
+    polynomial of degree ``k`` in them, the codimension-``k`` part of
+    ``1/c(E)``.  The nodes are base classes, so no formal variable is
+    needed.  The result equals :func:`pushforward_series`.
     """
     bundle = cls.bundle
-    ring = bundle.ring
-    n = bundle.fiber_dim
-    roots = bundle.nonzero_roots
-    m = len(roots)
-    if m == 0:
-        return cls.coeff(n)
-    points = _formal_names(ring, m)
-    aux = ring.with_formal(points)
-    # G(t) = sum over p >= n of a_p * t^(p - rank + m)
-    gcoeffs = ([aux.zero] * (m - 1)
-               + [aux.convert(a) for a in cls.coeffs[n:]])
-    g = divided_difference(gcoeffs, points, aux)
-    for name, (_, mult) in zip(points, roots):
-        k = mult - 1
-        if k:
-            g = g * aux.sym(name) ** k  # (1/k!) d^k/dx^k (x^k g)
-            for _ in range(k):
-                g = g.derivative(name)
-            g = g / math.factorial(k)
-    return g.rewrite({name: -form for name, (form, _) in zip(points, roots)},
-                     ring)
+    nodes = [-form for form, mult in bundle.roots for _ in range(mult)]
+    return bundle.ring._finish(_divided_difference(
+        bundle.ring, [a._terms for a in cls.coeffs], nodes))

@@ -11,8 +11,9 @@ Coefficients are exact rationals: an ``int`` when integral, otherwise a
 :class:`fractions.Fraction` (the two compare and hash equal); floats are
 rejected so every identity holds exactly.  A ring may carry extra *formal*
 variables, which count 0 towards the truncated degree (so no power of them
-truncates away), host intermediate divided-difference computations and
-never appear in results.
+truncates away); they host only the points of
+:func:`relchern.pushforward.divided_difference`, as the pushforward routes
+work in the base ring alone.
 
 A monomial is stored as its exponent vector packed into one integer of
 fixed-width fields: field 0 holds the degree that truncation counts, field

@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -435,6 +436,16 @@ def test_euler_modes():
     assert cls == -540 * proj.hyperplane() ** 2
 
 
+def test_euler_as_integer_is_none_or_a_bool():
+    formal = FormalBase(2)
+    proj_hyp, proj = weierstrass_over_projective(2, 3)
+    for hyp, base in ((weierstrass(formal), formal), (proj_hyp, proj)):
+        for value in (0, 1, "", "no", 0.0, Fraction(1)):
+            with pytest.raises(TypeError, match="as_integer"):
+                euler_characteristic(hyp, base, as_integer=value)
+    assert euler_characteristic(proj_hyp, proj, as_integer=True) == -540
+
+
 def test_euler_specialization_commutes():
     for dim, multiple in ((2, 3), (3, 4), (3, 2), (4, 1)):
         formal = FormalBase(dim)
@@ -635,6 +646,7 @@ def test_three_routes_agree_on_anchors_and_the_fermat_grid():
     for n, d, dim in itertools.product(range(2, 5), range(2, 5), range(1, 5)):
         fam = FermatFamily(n, d, base_dim=dim)
         cases.append(((n, d, dim), fam.hypersurface()))
+    cases.append(("weierstrass-60", weierstrass(FormalBase(60))))
     for label, hyp in cases:
         reduced = alpha_class(hyp).reduce()
         q = q_class(hyp)

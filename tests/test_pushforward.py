@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -246,6 +247,22 @@ def test_divided_difference_rejects_tainted_coefficients():
         divided_difference([ring.sym("L")], ["L"], ring)
     with pytest.raises(ValueError):
         divided_difference([ring.one], [], ring)
+
+
+def test_divided_difference_at_a_repeated_point_is_the_derivative():
+    ring, _ = make_points(1)
+    x1 = ring.sym("x1")
+    assert divided_difference(monomial_power(ring, 2), ["x1", "x1"]) == 2 * x1
+    assert divided_difference(monomial_power(ring, 3), ["x1"] * 3) == 3 * x1
+
+
+def test_divided_difference_takes_the_ring_from_the_first_class():
+    ring, _ = make_points(1)
+    L = ring.sym("L")
+    assert divided_difference([1, L, 2], ["x1", "x1"]) == L + 4 * ring.sym("x1")
+    for coeffs in ([], [1, 2], [Fraction(1, 2)]):
+        with pytest.raises(ValueError, match="ring"):
+            divided_difference(coeffs, ["x1"])
 
 
 # -- closed-form route --------------------------------------------------

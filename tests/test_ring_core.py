@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from relchern import (BundleSpec, ChowError, ChowPoly, ChowRing, FermatFamily,
                       FormalBase, HypersurfaceSpec, NonUnitError, ProjClass,
-                      Symbol, alpha_class, class_to_json, expand_ratio,
-                      pushforward_closed_form, pushforward_series, q_rational,
-                      to_latex)
-from relchern.pushforward import _exact_linear_quotient, _linear_product
+                      Symbol, alpha_class, class_to_json, divided_difference,
+                      expand_ratio, pushforward_closed_form, pushforward_series,
+                      q_rational, to_latex)
+from relchern.pushforward import _linear_product
 from relchern.ring import (_BITS, _FIELD, _MAX_EXP, _by_degree, _divide_unit,
                            _mul_into, _negated_tail)
 from tests.randgen import (random_bundle, random_form, random_poly,
@@ -91,31 +91,21 @@ def test_terms_follow_the_expanded_symbol_order(p):
 
 
 @settings(max_examples=80, deadline=None)
-@given(formal_polys())
-def test_synthetic_division_by_a_linear_factor(q):
-    x, y = FORMAL.sym("x"), FORMAL.sym("y")
-    quotient = _exact_linear_quotient(q * (x - y), "x", "y", FORMAL)
-    assert quotient == q
-    assert quotient * (x - y) == q * (x - y)
-    assert_exact(quotient)
-
-
-@settings(max_examples=80, deadline=None)
-@given(formal_polys())
-def test_synthetic_division_rejects_a_non_multiple(f):
-    # f is a multiple of (x - y) exactly when it vanishes at x = y
-    y = FORMAL.sym("y")
-    if f.substitute("x", y).is_zero():
-        assert _exact_linear_quotient(f, "x", "y", FORMAL) * (FORMAL.sym("x") - y) == f
-    else:
-        with pytest.raises(ChowError):
-            _exact_linear_quotient(f, "x", "y", FORMAL)
-
-
-def test_synthetic_division_rejects_constants():
-    with pytest.raises(ChowError):
-        _exact_linear_quotient(FORMAL.sym("L") + 1, "x", "y", FORMAL)
-    assert _exact_linear_quotient(FORMAL.zero, "x", "y", FORMAL) == 0
+@given(st.lists(polys(), max_size=6))
+def test_divided_difference_at_repeated_points_is_confluent(coeffs):
+    # f[x, x] = f'(x) and f[x, x, x] = f''(x)/2 for f(t) = sum coeffs[k] t^k
+    x = FORMAL.sym("x")
+    f = FORMAL.zero
+    for c in reversed(coeffs):
+        f = f * x + FORMAL.convert(c)
+    first = divided_difference(coeffs, ["x", "x"], FORMAL)
+    second = divided_difference(coeffs, ["x"] * 3, FORMAL)
+    assert first == f.derivative("x")
+    assert second == f.derivative("x").derivative("x") / 2
+    assert divided_difference(coeffs, ["x", "y", "x"], FORMAL) == \
+        divided_difference(coeffs, ["x", "x", "y"], FORMAL)
+    assert_exact(first)
+    assert_exact(second)
 
 
 def reference_projclass_product(u, v):
