@@ -156,7 +156,7 @@ def q_class_display(hyp):
     """``Q`` again, by a route independent of :func:`q_class`: the class
     reduced by the Grothendieck relation (:meth:`ProjClass.reduce`) has at
     most ``rank`` coefficients, and the ``H**(rank-1)`` one is ``Q``."""
-    return alpha_class(hyp).reduce().coeff(hyp.bundle.fiber_dim)
+    return alpha_class(hyp)._reduced(hyp.bundle.fiber_dim)[0]
 
 
 def relative_chern_class(hyp, base):

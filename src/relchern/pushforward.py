@@ -175,23 +175,25 @@ class ProjClass:
     def _quotient(cls, bundle, num, den):
         # num / den: num lists the term maps of the H^n coefficients, den the
         # classes u_k of the base ring, with u_0 of constant term 1.  The
-        # quotient z is found coefficient by coefficient in H:
-        # z_n = (a_n - sum_(k >= 1) u_k z_(n-k)) / u_0, each truncated at the
-        # codimension H^n leaves room for; u_0 is checked to be a unit, and
-        # one divider by it serves every limit
+        # quotient z is found coefficient by coefficient in H: z_n = (a_n -
+        # sum_(k >= 1) u_k z_(n-k)) / u_0, truncated at the codimension H^n
+        # leaves room for; one divider by u_0, checked to be a unit, serves
+        # every limit and takes a constant u_1 alone (1 + y) in the same pass
         ring = bundle.ring
         dmax = bundle.ambient_dim
         divide = _unit_divider(den[0])
-        negated = _negated_table(den)
-        quotient = []
-        for n in range(dmax + 1):
-            limit = min(ring.bound, dmax - n)
-            z = dict(num[n]) if n < len(num) else {}
-            for k, u in negated:
-                if k > n:
-                    break
-                _mul_into(z, quotient[n - k], u, limit)
-            quotient.append(divide(z, limit))
+        limits = [min(ring.bound, dmax - n) for n in range(dmax + 1)]
+        if len(den) < 3 and all(u.is_constant() for u in den[1:]):
+            quotient = divide(num, limits, -den[1].constant_term() if den[1:] else 0)
+        else:
+            negated, quotient = _negated_table(den), []
+            for n, limit in enumerate(limits):
+                z = dict(num[n]) if n < len(num) else {}
+                for k, u in negated:
+                    if k > n:
+                        break
+                    _mul_into(z, quotient[n - k], u, limit)
+                quotient += divide([z], [limit])
         return cls._normalized(bundle, [ChowPoly(ring, z) for z in quotient])
 
     @classmethod
@@ -303,20 +305,24 @@ class ProjClass:
         The Grothendieck relation ``H**r + c_1(E) H**(r-1) + ... + c_r(E) = 0``
         rewrites ``H**n`` for each ``n >= r``, from the top down, as
         ``-sum_k c_k(E) H**(n-k)``.  The pushforward of the result is its
-        ``H**(r-1)`` coefficient, as the lower powers push to zero.
+        ``H**(r-1)`` coefficient, as the lower powers push to zero; what is
+        added below it never reaches it, so ``q_class_display`` skips that.
         """
-        bundle = self.bundle
-        ring = bundle.ring
-        rank = bundle.rank
-        negated = _negated_table(bundle.total_chern().components()[:rank + 1])
-        out = [dict(a._terms) for a in self.coeffs]
+        return ProjClass._normalized(self.bundle, self._reduced(0))
+
+    def _reduced(self, low):
+        # the H^low .. H^(rank-1) coefficients of reduce(), [0] if none; no
+        # target below H^low is written, as nothing added there reaches H^low
+        ring, rank = self.bundle.ring, self.bundle.rank
+        negated = _negated_table(self.bundle.total_chern().components()[:rank + 1])
+        out = [{}] * low + [dict(a._terms) for a in self.coeffs[low:]]
         for n in range(len(out) - 1, rank - 1, -1):
             for k, ck in negated:
                 # codimension <= ambient_dim - n in H^n, times c_k, stays
                 # within the room of H^(n-k), so only the base bound truncates
-                _mul_into(out[n - k], out[n], ck, ring.bound)
-        return ProjClass._normalized(bundle,
-                                     [ring._finish(terms) for terms in out[:rank]])
+                if n - k >= low:
+                    _mul_into(out[n - k], out[n], ck, ring.bound)
+        return [ring._finish(terms) for terms in out[low:rank]] or [ring.zero]
 
     def __str__(self):
         parts = []

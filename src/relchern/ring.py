@@ -455,45 +455,54 @@ def _negated_tail(tail, limit, mask):
             for e, part in enumerate(_split(tail, limit, mask)) if part]
 
 
-def _divide_unit(num, negated, limit, mask):
-    """The term map of ``num / (1 + tail)``, dropping terms of degree above
-    ``limit``; ``negated`` is :func:`_negated_tail` of ``tail``, split at
-    ``limit`` or above, every term of ``tail`` must have positive degree,
-    and ``mask`` is the ring's ``_mask``.
+def _divide_unit(negated, mask, nums, limits, step=0):
+    """The term maps ``z_n = (nums[n] + step*z_(n-1)) / (1 + tail)``, the
+    ``H**n`` coefficients of ``sum nums[n] H**n / (1 + tail - step*H)``,
+    one for each of the limits, which must not increase, and without terms
+    of degree above ``limits[n]``.  ``negated`` is :func:`_negated_tail` of
+    ``tail``, split at ``limits[0]`` or above, every term of ``tail`` must
+    have positive degree, and ``mask`` is the ring's ``_mask``.
 
-    The quotient is finished degree by degree: once all lower degrees have
+    Each ``z_n`` is finished degree by degree, in one pass over buckets that
+    ``nums[n]`` and ``step*z_(n-1)`` seeded: once all lower degrees have
     pushed ``-term * tail`` into it, degree ``d`` holds exactly the
-    quotient's degree-``d`` terms, which then push into higher degrees in
-    turn.  The cost is one pass over the pairs of a quotient term and a tail
-    term whose degree stays within ``limit``; tail terms above the room of
-    a quotient term are never reached, so one split serves every smaller
-    limit.
+    degree-``d`` terms of ``z_n``, which push into higher degrees in turn
+    and, times ``step``, into degree ``d`` of ``z_(n+1)``.  Tail terms above
+    the room of a quotient term are never reached, so one split serves all.
     """
-    buckets = _split(num, limit, mask)
-    out = {}
-    for d, bucket in enumerate(buckets):
-        room = limit - d
-        for key, c in bucket.items():
-            if not c:
-                continue
-            if c.__class__ is Fraction and c.denominator == 1:
-                c = c.numerator
-            out[key] = c
-            for e, pairs in negated:
-                if e > room:
-                    break
-                target = buckets[d + e]
-                get = target.get
-                for k2, c2 in pairs:
-                    k = key + k2
-                    target[k] = get(k, 0) + c * c2
-    return out
+    limits, nums = [*limits, -1], [*nums, *[{}] * (len(limits) + 1)]
+    quotient, later = [], _split(nums[0], limits[0], mask)
+    for n, limit in enumerate(limits[:-1]):
+        buckets, later = later, _split(nums[n + 1], limits[n + 1], mask)
+        top = limits[n + 1] if step else -1
+        out = {}
+        for d, bucket in enumerate(buckets):
+            room = limit - d
+            for key, c in bucket.items():
+                if not c:
+                    continue
+                if c.__class__ is Fraction and c.denominator == 1:
+                    c = c.numerator
+                out[key] = c
+                if d <= top:
+                    target = later[d]
+                    target[key] = target.get(key, 0) + step * c
+                for e, pairs in negated:
+                    if e > room:
+                        break
+                    target = buckets[d + e]
+                    get = target.get
+                    for k2, c2 in pairs:
+                        k = key + k2
+                        target[k] = get(k, 0) + c * c2
+        quotient.append(out)
+    return quotient
 
 
 def _unit_divider(unit):
-    """``divide(terms, limit)``: the term map of ``terms / unit`` up to degree
-    ``limit`` (:func:`_divide_unit`).  ``unit`` must have constant term 1 and
-    no formal variables; its tail is split once, at the bound, for every limit."""
+    """``divide(nums, limits, step=0)``: :func:`_divide_unit` by ``unit``.
+    ``unit`` must have constant term 1 and no formal variables; its tail is
+    split once, at the bound, for every limit."""
     ring = unit.ring
     if unit.constant_term() != 1:
         raise NonUnitError("division requires a denominator with constant term 1")
@@ -501,7 +510,7 @@ def _unit_divider(unit):
         raise SymbolError("division by a class in formal variables is not available")
     negated = _negated_tail({key: c for key, c in unit._terms.items() if key},
                             ring.bound, ring._mask)
-    return lambda terms, limit: _divide_unit(terms, negated, limit, ring._mask)
+    return functools.partial(_divide_unit, negated, ring._mask)
 
 
 class ChowPoly:
@@ -763,4 +772,4 @@ def expand_ratio(numerator, denominator):
         raise TypeError("expand_ratio takes classes and exact rationals, "
                         "at least one of them a class")
     ring = numerator.ring
-    return ChowPoly(ring, _unit_divider(denominator)(numerator._terms, ring.bound))
+    return ChowPoly(ring, *_unit_divider(denominator)([numerator._terms], [ring.bound]))

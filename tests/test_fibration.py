@@ -19,6 +19,7 @@ from relchern import (BundleSpec, ChowRing, ContextError, FermatFamily,
                       q_class_display, q_rational, relative_chern_class,
                       smooth_hypersurface_euler, specialize, svw_components)
 from relchern import fibration
+from relchern.ring import _mul_into, _negated_table
 from tests import golden_cases
 from tests.randgen import (DIVISORS, random_base, random_bundle, random_form,
                            random_proj_class)
@@ -191,8 +192,7 @@ def test_alpha_class_is_built_once_and_no_route_changes_it():
         q = q_class(hyp)
         assert q_class_display(hyp) == q
         assert alpha.reduce().coeff(hyp.bundle.fiber_dim) == q
-        if hyp.bundle.ring.bound <= 12:
-            assert pushforward_closed_form(alpha) == q
+        assert pushforward_closed_form(alpha) == q
         assert alpha_class(hyp) is alpha
         assert [c._terms for c in alpha.coeffs] == before, hyp
 
@@ -256,17 +256,22 @@ def test_q_rational_weierstrass():
     assert expand_ratio(num, den) == expand_ratio(12 * L, 1 + 6 * L)
 
 
-def test_q_rational_matches_the_series_route_on_the_randomized_suite():
-    # the bundles of acceptance criterion 5, drawn from its seed and in its
-    # order; each gets a hypersurface of degree 0..5 from a second stream
+def randomized_suite():
+    """``(trial, hypersurface)``: the bundles of acceptance criterion 5,
+    drawn from its seed and in its order; each gets a hypersurface of
+    degree 0..5 from a second stream."""
     rng = random.Random(1123581321)
     for trial in range(210):
         bundle = random_bundle(rng, random_base(rng))
         random_proj_class(rng, bundle)  # keeps the stream of criterion 5
         extra = random.Random(trial)
-        hyp = HypersurfaceSpec(extra.randint(0, 5),
-                               random_form(extra, bundle.ring, nonzero=False),
-                               bundle)
+        yield trial, HypersurfaceSpec(
+            extra.randint(0, 5), random_form(extra, bundle.ring, nonzero=False),
+            bundle)
+
+
+def test_q_rational_matches_the_series_route_on_the_randomized_suite():
+    for trial, hyp in randomized_suite():
         assert q_by_residues(hyp) == q_class(hyp), (trial, hyp)
 
 
@@ -660,9 +665,43 @@ def test_q_class_display_runs_no_divided_difference(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the divided-difference route ran")
 
-    monkeypatch.setattr("relchern.pushforward.divided_difference", refuse)
+    for name in ("divided_difference", "_divided_difference",
+                 "pushforward_closed_form"):
+        monkeypatch.setattr(f"relchern.pushforward.{name}", refuse)
     for case_id, _, hyp in golden_cases.anchors():
         assert q_class_display(hyp) == q_class(hyp), case_id
+
+
+def reference_reduce(cls):
+    """``ProjClass.reduce`` as it was before ``q_class_display`` stopped the
+    reduction at ``H**(r-1)``: every target below it is rewritten too."""
+    bundle = cls.bundle
+    ring = bundle.ring
+    rank = bundle.rank
+    negated = _negated_table(bundle.total_chern().components()[:rank + 1])
+    out = [dict(a._terms) for a in cls.coeffs]
+    for n in range(len(out) - 1, rank - 1, -1):
+        for k, ck in negated:
+            _mul_into(out[n - k], out[n], ck, ring.bound)
+    return ProjClass._normalized(bundle,
+                                 [ring._finish(terms) for terms in out[:rank]])
+
+
+def test_q_class_display_is_the_full_reduction_stopped_at_h_rank_minus_1():
+    # the randomized suite, then the anchors at formal dims 0..12 and 60
+    cases = list(randomized_suite())
+    for dim in range(13):
+        cases += [((name, dim), build(dim)[1]) for name, build in
+                  (("weierstrass", golden_cases._weierstrass),
+                   ("M3", golden_cases._m3), ("M4", golden_cases._m4))]
+        cases += [(("fermat", n, d, dim), FermatFamily(n, d, dim).hypersurface())
+                  for n in (2, 3, 4) for d in (2, 3, 4)]
+    cases.append((("weierstrass", 60), golden_cases._weierstrass(60)[1]))
+    for label, hyp in cases:
+        alpha = alpha_class(hyp)
+        reduced = alpha.reduce()
+        assert reduced == reference_reduce(alpha), label
+        assert q_class_display(hyp) == reduced.coeff(hyp.bundle.fiber_dim), label
 
 
 def test_reduced_alpha_has_width_rank_at_high_dimension():

@@ -310,8 +310,9 @@ def test_closed_form_rank_without_nontrivial_roots():
 
 
 def test_closed_form_points_avoid_the_base_symbol_names():
-    # the formal points are named x1, x2, ... unless the base already uses
-    # the name, as it does here for both x1 and _x1
+    # the closed form divides at the negated roots, classes of the base
+    # ring, so it makes no formal point whose name could clash with the
+    # base's symbols x1 and _x1
     ring = ChowRing([Symbol("x1"), Symbol("_x1")], 3)
     x, y = ring.sym("x1"), ring.sym("_x1")
     bundle = BundleSpec([ring.zero, x, (x + y, 2)])

@@ -24,8 +24,8 @@ from relchern import (BundleSpec, ChowError, ChowPoly, ChowRing, FermatFamily,
                       q_rational, to_latex)
 from relchern.pushforward import _linear_product
 from relchern.ring import (_BITS, _FIELD, _MAX_EXP, _by_degree, _divide_unit,
-                           _mul_into, _negated_tail)
-from tests.randgen import (random_bundle, random_form, random_poly,
+                           _mul_into, _negated_table, _negated_tail)
+from tests.randgen import (DIVISORS, random_bundle, random_form, random_poly,
                            random_rational, random_setup)
 
 RING = ChowRing([Symbol("L"), Symbol("M"), Symbol("c2", 2)], 3)
@@ -193,6 +193,61 @@ def test_projclass_division_by_a_unit_matches_the_geometric_series(seed):
     for value in (quotient, u.inverse()):
         for c in value.coeffs:
             assert_exact(c)
+
+
+def reference_quotient(bundle, num, den):
+    """``ProjClass._quotient`` by the loop the one-pass division replaced:
+    each ``z_n`` copies ``a_n``, adds ``-u_k z_(n-k)`` through ``_mul_into``
+    and is divided by ``u_0``, here by the geometric series, up to the
+    codimension ``H**n`` leaves room for."""
+    ring, dmax = bundle.ring, bundle.ambient_dim
+    negated = _negated_table(den)
+    quotient = []
+    for n in range(dmax + 1):
+        limit = min(ring.bound, dmax - n)
+        z = dict(num[n]) if n < len(num) else {}
+        for k, u in negated:
+            if k > n:
+                break
+            _mul_into(z, quotient[n - k], u, limit)
+        z = reference_expand_ratio(ring._finish(z), den[0]).truncate(limit)
+        quotient.append(z._terms)
+    return ProjClass(bundle, [ChowPoly(ring, z) for z in quotient])
+
+
+@st.composite
+def quotient_inputs(draw):
+    """A bundle over a base of dim 0 to 6, numerators up to two coefficients
+    wider than the projectivization, and ``(u_0, ...)`` with ``u_0`` of
+    constant term 1 and a tail over several degrees, then no ``u_1``, a zero
+    one, a nonzero integer, a ``Fraction``, or three classes; half of the
+    time the classes have non-integral coefficients."""
+    bound = draw(st.integers(0, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ring = FormalBase(bound, DIVISORS).ring
+    bundle = (random_bundle(rng, ring) if bound
+              else BundleSpec([(ring.zero, rng.randint(2, 5))]))
+    scale = draw(st.sampled_from([1, Fraction(-3, 2)]))
+    width = draw(st.integers(0, bundle.ambient_dim + 3))
+    num = [(random_poly(rng, ring, 4, 4) * scale)._terms for _ in range(width)]
+    tail = random_poly(rng, ring, 4, 5) * scale
+    u1 = draw(st.sampled_from(["none", "zero", "int", "fraction", "classes"]))
+    step = {"none": (), "zero": (ring.zero,),
+            "int": (ring.const(draw(st.integers(1, 5)) * rng.choice((1, -1))),),
+            "fraction": (ring.const(Fraction(rng.randint(-9, 9), 4)),),
+            "classes": tuple(random_poly(rng, ring, 3, 3) * scale
+                             for _ in range(3))}[u1]
+    return bundle, num, (1 + tail - tail.constant_term(), *step)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_inputs())
+def test_one_pass_projclass_division_matches_the_coefficient_loop(case):
+    bundle, num, den = case
+    quotient = ProjClass._quotient(bundle, num, den)
+    assert quotient == reference_quotient(bundle, num, den)
+    for c in quotient.coeffs:
+        assert_exact(c)
 
 
 def generic_alpha(hyp):
@@ -671,9 +726,9 @@ def test_divide_unit_by_a_tail_split_at_the_bound_serves_every_limit(num, a, b):
     whole = _negated_tail(tail, TALL.bound, TALL._mask)
     for limit in range(TALL.bound + 1):
         own = _negated_tail(tail, limit, TALL._mask)
-        quotient = _divide_unit(num._terms, whole, limit, TALL._mask)
-        assert list(quotient.items()) == list(
-            _divide_unit(num._terms, own, limit, TALL._mask).items())
+        [quotient] = _divide_unit(whole, TALL._mask, [num._terms], [limit])
+        [reference] = _divide_unit(own, TALL._mask, [num._terms], [limit])
+        assert list(quotient.items()) == list(reference.items())
 
 
 @pytest.mark.parametrize("seed", range(20))
