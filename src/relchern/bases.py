@@ -48,10 +48,11 @@ class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
     ``H`` and ``c1..c{dim}``.  With ``fano=True`` the first divisor is the
     anticanonical class: :meth:`bindings` reads it as ``c1``, so a job that
     names it computes in ``c1`` from the start.  A fano base needs at least
-    one divisor.
+    one divisor.  :meth:`chern_polynomial` is kept in a slot that no
+    comparison, hash, ``repr``, copy or pickle reads.
     """
 
-    __slots__ = ("dim", "divisors", "fano", "ring")
+    __slots__ = ("dim", "divisors", "fano", "ring", "_chern")
 
     def __init__(self, dim, divisors=("L",), fano=False):
         if not _is_int(dim) or dim < 0:
@@ -63,7 +64,7 @@ class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
         _check_bound(dim)  # before c1..c_dim are built, one per dimension
         symbols = [Symbol(f"c{i}", i) for i in range(1, dim + 1)]
         symbols += [_divisor_symbol(name) for name in divisors]
-        self._set(dim, divisors, bool(fano), ChowRing(symbols, dim))
+        self._set(dim, divisors, bool(fano), ChowRing(symbols, dim), None)
 
     def chern_symbol(self, i):
         if not 1 <= i <= self.dim:
@@ -71,9 +72,11 @@ class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
         return self.ring.sym(f"c{i}")
 
     def chern_polynomial(self):
-        terms = {((f"c{i}", 1),): 1 for i in range(1, self.dim + 1)}
-        terms[()] = 1
-        return self.ring._from_monomials(terms)
+        if self._chern is None:
+            terms = {((f"c{i}", 1),): 1 for i in range(1, self.dim + 1)}
+            terms[()] = 1
+            object.__setattr__(self, "_chern", self.ring._from_monomials(terms))
+        return self._chern
 
     def divisor(self, name=None):
         return self.ring.sym(name if name is not None else self.divisors[0])
@@ -98,9 +101,10 @@ class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
     ``multiple`` optionally binds a divisor name (``"L"`` by default) to
     ``multiple * h`` so bundle data written in terms of that divisor can be
     interpreted here.  The divisor name is a symbol name other than ``H``.
+    :meth:`chern_polynomial` is kept as by :class:`FormalBase`.
     """
 
-    __slots__ = ("dim", "multiple", "divisor", "ring")
+    __slots__ = ("dim", "multiple", "divisor", "ring", "_chern")
 
     def __init__(self, dim, multiple=None, divisor="L"):
         if not _is_int(dim) or dim < 0:
@@ -108,13 +112,16 @@ class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
         if multiple is not None and not _is_int(multiple):
             raise ValueError("divisor multiple must be an integer")
         _divisor_symbol(divisor)
-        self._set(dim, multiple, divisor, ChowRing([Symbol("h", 1)], dim))
+        self._set(dim, multiple, divisor, ChowRing([Symbol("h", 1)], dim), None)
 
     def hyperplane(self):
         return self.ring.sym("h")
 
     def chern_polynomial(self):
-        return (self.ring.one + self.hyperplane()) ** (self.dim + 1)
+        if self._chern is None:
+            object.__setattr__(self, "_chern",
+                               (self.ring.one + self.hyperplane()) ** (self.dim + 1))
+        return self._chern
 
     def chern_component(self, i):
         return math.comb(self.dim + 1, i) * self.hyperplane() ** i

@@ -40,7 +40,7 @@ import math
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase, _divisor_symbol
 from .pushforward import (BundleSpec, ProjClass, _product, _twist,
                           pushforward_series)
-from .render import _text_power, format_terms
+from .render import _text_strings, format_terms
 from .ring import (ChowError, ContextError, _Frozen, _is_int, _linear_product,
                    expand_ratio)
 
@@ -88,7 +88,7 @@ class HypersurfaceSpec(_Frozen, fields=("degree", "beta", "bundle")):
     def __repr__(self):
         # degree*H leads the terms of beta, in the text of any class
         terms = [((("H", 1),), self.degree)] if self.degree else []
-        cls = format_terms(terms + self.beta.terms(), str, _text_power, "*")
+        cls = format_terms(terms + self.beta.terms(), str, _text_strings, "*")
         return f"HypersurfaceSpec({cls} in {self.bundle!r})"
 
 

@@ -1,8 +1,8 @@
 """Output renderings: plain text, LaTeX and a JSON term structure.
 
-A term is rendered from cached factor strings: ``_text_power`` and
-``_latex_power`` remember the string of each ``(name, exponent)`` factor,
-so a monomial costs one join, and a class one more.
+A term is rendered from cached factor strings, one table per format keyed
+by the ``(name, exponent)`` tuples rings decode, so a monomial costs one
+join, and a class one more.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from itertools import starmap
 
 _get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: none
 
@@ -19,8 +18,8 @@ class all_digits:
     """Lift the interpreter's limit on converting long integers to and from
     decimal text (Python 3.10.7 and later) inside the block, so exact values
     print and parse at any size; the limit is restored on leaving it.
-    Renderers enter it once per class, and a plain class costs half as much
-    to enter and leave as a generator-based context manager."""
+    A plain class costs half as much to enter and leave as a
+    generator-based context manager."""
 
     __slots__ = ("_limit",)
 
@@ -34,33 +33,68 @@ class all_digits:
             sys.set_int_max_str_digits(self._limit)
 
 
-def format_terms(items, coeff, power, sep):
+def _lifting(render):
+    """``render``, run again inside :class:`all_digits` only if it met an
+    integer past the digit limit; rendering is pure, so this equals one
+    lifted run."""
+    @functools.wraps(render)
+    def wrapper(*args):
+        try:
+            return render(*args)
+        except ValueError:
+            with all_digits():
+                return render(*args)
+    return wrapper
+
+
+class _FactorStrings(dict):
+    """``(name, exp) -> power(name, exp)``, filled on a miss; a full table
+    starts again empty, so it holds at most ``limit`` strings."""
+
+    __slots__ = ("power", "limit")
+
+    def __init__(self, power, limit):
+        self.power, self.limit = power, limit
+
+    def __missing__(self, factor):
+        if len(self) >= self.limit:
+            self.clear()
+        text = self[factor] = self.power(*factor)
+        return text
+
+
+@_lifting
+def format_terms(items, coeff, strings, sep):
     """Join ``(monomial, coefficient)`` pairs into ``a + b - c`` form, with
-    ``coeff(q)`` for coefficients, ``power(name, exp)`` for factors and
-    ``sep`` between the factors of a term and before its monomial.
+    ``str`` for ``int`` and ``coeff(q)`` for other coefficients,
+    ``strings[factor]`` for factors and ``sep`` between the factors of a
+    term and before its monomial.
 
     No part contains ``+``, so turning ``" + -"`` into ``" - "`` after the
     join touches only the joints before negative terms."""
     if not items:
         return "0"
     parts = []
-    append, join = parts.append, sep.join
-    with all_digits():
-        for mono, c in items:
-            if not mono:
-                append(coeff(c))
-            elif c == 1:
-                append(join(starmap(power, mono)))
-            elif c == -1:
-                append("-" + join(starmap(power, mono)))
-            else:
-                append(coeff(c) + sep + join(starmap(power, mono)))
+    append, join, get = parts.append, sep.join, strings.__getitem__
+    for mono, c in items:
+        # "1" and "-1" are the coefficients 1 and -1 in every renderer
+        text = str(c) if c.__class__ is int else coeff(c)
+        if not mono:
+            append(text)
+        elif text == "1":
+            append(join(map(get, mono)))
+        elif text == "-1":
+            append("-" + join(map(get, mono)))
+        else:
+            append(f"{text}{sep}{join(map(get, mono))}")
     return " + ".join(parts).replace(" + -", " - ")
 
 
-@functools.lru_cache(maxsize=1024)
 def _text_power(name, exp):
     return name if exp == 1 else f"{name}^{exp}"
+
+
+_text_strings = _FactorStrings(_text_power, 1024)
 
 
 def to_text(cls):
@@ -71,12 +105,14 @@ def to_text(cls):
 _SUBSCRIPT_RE = re.compile(r"([A-Za-z]+)_?(\d+)\Z")
 
 
-@functools.lru_cache(maxsize=1024)
 def _latex_power(name, exp):
     match = _SUBSCRIPT_RE.match(name)
     if match:
         name = f"{match.group(1)}_{{{match.group(2)}}}"
     return name if exp == 1 else f"{name}^{{{exp}}}"
+
+
+_latex_strings = _FactorStrings(_latex_power, 1024)
 
 
 def _latex_coeff(q):
@@ -87,9 +123,14 @@ def _latex_coeff(q):
 
 
 def to_latex(cls):
-    return format_terms(cls._canonical()[1], _latex_coeff, _latex_power, " ")
+    return format_terms(cls._canonical()[1], _latex_coeff, _latex_strings, " ")
 
 
+def _fraction_json(q):
+    return {"numerator": str(q.numerator), "denominator": str(q.denominator)}
+
+
+@_lifting
 def class_to_json(cls):
     """Codimension-graded term list.
 
@@ -100,11 +141,16 @@ def class_to_json(cls):
     degree that orders terms but not towards codimension, so the pieces'
     terms may interleave in canonical order.
     """
+    codims, terms = cls._canonical()
+    entries = [{"monomial": dict(mono),
+                "coeff": {"numerator": str(c), "denominator": "1"}
+                if c.__class__ is int else _fraction_json(c)}
+               for mono, c in terms]
+    if not entries:
+        return []
+    if codims.count(codims[0]) == len(codims):  # as for a graded piece
+        return [{"codim": codims[0], "terms": entries}]
     pieces = {}
-    with all_digits():
-        for k, (mono, c) in zip(*cls._canonical()):
-            pieces.setdefault(k, []).append({
-                "monomial": dict(mono),
-                "coeff": {"numerator": str(c.numerator),
-                          "denominator": str(c.denominator)}})
+    for k, entry in zip(codims, entries):
+        pieces.setdefault(k, []).append(entry)
     return [{"codim": k, "terms": pieces[k]} for k in sorted(pieces)]

@@ -29,8 +29,8 @@ sum of two keys never carries into the next field, and a key stays a few
 machine digits long: a divisor-only class of a dimension-60 base fits in one
 30-bit digit.  Formal exponents are unbounded, so a ring with formal
 variables keeps 32-bit fields, with the top bit of each formal field
-guarded.  Equal rings get equal widths; a value changes rings through
-:meth:`ChowRing._decode`.
+guarded.  Equal rings get equal widths; a value changes rings through its
+decoded monomials (:meth:`ChowRing._flat_terms`).
 
 Values are immutable and operations are pure.
 """
@@ -43,7 +43,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 
-from .render import _text_power, format_terms
+from .render import _text_strings, format_terms
 
 _BITS = 32
 _FIELD = (1 << _BITS) - 1
@@ -168,6 +168,21 @@ class Symbol(_Frozen):
         self._set(name, degree)
 
 
+class _Factors(dict):
+    """``exp + (i << step) -> (name, exp)`` for the ``i``-th of ``names``,
+    filled on a miss, so each factor a ring decodes is one tuple."""
+
+    __slots__ = ("names", "step")
+
+    def __init__(self, names, step):
+        self.names, self.step = names, step
+
+    def __missing__(self, index):
+        factor = self[index] = (self.names[index >> self.step],
+                                index & (1 << self.step) - 1)
+        return factor
+
+
 class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
     """A symbol table, a truncation bound and optional formal variables.
 
@@ -181,8 +196,8 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
     """
 
     __slots__ = ("symbols", "bound", "formal", "_degrees", "_formal_set",
-                 "_bits", "_mask", "_shift", "_unit", "_guard", "_factors",
-                 "_by_field", "_syms")
+                 "_bits", "_mask", "_shift", "_unit", "_guard", "_walk",
+                 "_syms")
 
     def __init__(self, symbols, bound, formal=()):
         _check_bound(bound)
@@ -205,13 +220,10 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
         unit = {name: (0 if name in formal_set else degrees[name])
                 + (1 << shift[name]) for name in order}
         guard = sum(1 << (shift[name] + bits - 1) for name in formal)
-        # field i + 1: its name, its degree and its exponent's shift in a rank
-        by_field = [(name, degrees[name], bits * (len(order) - i - 1))
-                    for i, name in enumerate(order)]
-        # _factors: (name, exp) -> one shared tuple, see _decode;
-        # _syms: name -> the value of sym(name), filled on first use
+        # _walk: see _decoders; _syms: name -> the value of sym(name);
+        # both filled on first use
         self._set(tuple(syms), bound, formal, degrees, formal_set, bits,
-                  (1 << bits) - 1, shift, unit, guard, {}, by_field, {})
+                  (1 << bits) - 1, shift, unit, guard, None, {})
 
     def __repr__(self):
         names = ",".join(s.name for s in self.symbols)
@@ -284,8 +296,8 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
                 raise SymbolError(f"symbol {name!r} does not exist in the target ring")
             if self._degrees[name] != src._degrees[name]:
                 raise ContextError(f"symbol {name!r} changes degree between rings")
-        return self._from_monomials({src._decode(key)[1]: c
-                                     for key, c in value._terms.items()})
+        return self._from_monomials({mono: c for _, _, mono, c
+                                     in src._flat_terms(value._terms)})
 
     # -- monomials -----------------------------------------------------
 
@@ -298,26 +310,56 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
                 out[sum(e * self._unit[n] for n, e in mono)] = c
         return self._finish(out)
 
+    def _decoders(self):
+        """``(fields, factors)``, built on first use: ``fields[i]`` holds,
+        for field ``i + 1`` once field 0 is shifted out, its lowest bit, the
+        weight of its exponent in an order and its tag in ``factors``."""
+        if self._walk is None:
+            bits, names = self._bits, list(self._shift)  # in field order
+            top = bits * len(names)
+            fields = [(bits * i,
+                       (self._degrees[name] << top) - (1 << top - bits * (i + 1)),
+                       i << bits - 1)
+                      for i, name in enumerate(names)]
+            object.__setattr__(self, "_walk", (fields, _Factors(names, bits - 1)))
+        return self._walk
+
+    def _flat_terms(self, terms):
+        """``[(order, codim, monomial, coeff), ...]`` for the term map
+        ``terms``, in its order.  ``order``, the degree times
+        ``2**(bits * fields)`` plus the rank (:meth:`_decode`), is unique to
+        the key and sorts in canonical order.  The walk goes from the top
+        nonzero field down: no field's top bit is set, so that field is
+        ``key.bit_length() // bits``.  Equal factors are one tuple, as
+        values keep their decoded terms."""
+        fields, factors = self._walk or self._decoders()
+        bits, mask = self._bits, self._mask
+        out = []
+        append = out.append
+        for key, c in terms.items():
+            codim = key & mask
+            key >>= bits
+            order = 0
+            mono = []
+            while key:
+                low, weight, tag = fields[key.bit_length() // bits]
+                e = key >> low
+                key ^= e << low
+                order += e * weight
+                mono.append(factors[e + tag])
+            mono.reverse()
+            append((order, codim, tuple(mono), c))
+        return out
+
     def _decode(self, key):
         """``(rank, ((name, exp), ...))`` of a packed key.  Ranks sort keys in
-        canonical order: total degree, then exponents in field order, larger first.
-        Equal factors share one tuple, since values keep their decoded terms.
-        Only the nonzero fields are visited: each step jumps to the field of
-        the lowest set bit."""
-        bits, mask = self._bits, self._mask
-        mono = []
-        degree = rank = 0
-        key >>= bits
-        while key:
-            i = ((key & -key).bit_length() - 1) // bits
-            e = key >> bits * i & mask
-            key -= e << bits * i
-            name, weight, shift = self._by_field[i]
-            degree += e * weight
-            rank -= e << shift
-            factor = (name, e)
-            mono.append(self._factors.setdefault(factor, factor))
-        return (degree, rank), tuple(mono)
+        canonical order: total degree, then exponents in field order, larger
+        first; a rank is ``(degree, -sum(exp << bits * (fields - i)))`` over
+        the variables' fields ``i`` from 1."""
+        ((order, _, mono, _),) = self._flat_terms({key: 0})
+        top = self._bits * len(self._shift)
+        degree = -(-order >> top)
+        return (degree, order - (degree << top)), mono
 
     def _finish(self, terms):
         """The value of the term map ``terms``, taking ownership of the
@@ -513,6 +555,9 @@ def _unit_divider(unit):
     return functools.partial(_divide_unit, negated, ring._mask)
 
 
+_codim, _term = operator.itemgetter(1), operator.itemgetter(2, 3)
+
+
 class ChowPoly:
     """Immutable truncated graded polynomial with exact rational coefficients.
 
@@ -582,13 +627,12 @@ class ChowPoly:
         return list(self._canonical()[1])
 
     def _canonical(self):
-        """``(codims, terms)``: :meth:`terms` sorted once, and field 0 of each key."""
+        """``(codims, terms)``: :meth:`terms` sorted once, and field 0 of each
+        key; the sort compares one integer per term."""
         if self._canon is None:
-            decode, mask = self.ring._decode, self.ring._mask
-            items = [decode(key) + (key & mask, c)
-                     for key, c in self._terms.items()]
+            items = self.ring._flat_terms(self._terms)
             items.sort()
-            self._canon = ([t[2] for t in items], [(t[1], t[3]) for t in items])
+            self._canon = list(map(_codim, items)), list(map(_term, items))
         return self._canon
 
     def _degree_table(self):
@@ -731,9 +775,9 @@ class ChowPoly:
         target = ring if ring is not None else self.ring
         powers = {}  # name -> [1, value, value**2, ...], grown as needed
         out = {}
-        for key, c in self._terms.items():
+        for _, _, mono, c in self.ring._flat_terms(self._terms):
             term = target.const(c)
-            for name, e in self.ring._decode(key)[1]:
+            for name, e in mono:
                 if name not in powers:
                     value = mapping.get(name)
                     value = target.sym(name) if value is None else target.convert(value)
@@ -749,7 +793,7 @@ class ChowPoly:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        return format_terms(self._canonical()[1], str, _text_power, "*")
+        return format_terms(self._canonical()[1], str, _text_strings, "*")
 
     def __repr__(self):
         return f"ChowPoly({self})"

@@ -2,15 +2,19 @@
 
 ``tests/test_golden.py`` recomputes these outputs and compares them byte for
 byte with ``tests/data/golden.json`` and with the demo transcripts under
-``tests/data/demos``.  Regenerate the files only from a tree whose outputs
-are known to be right::
+``tests/data/demos``, and compares the sha256 digests of the renderings of
+wide jobs, whose keys have fields of 7 to 9 bits, with
+``tests/data/render_digests.json``.  Regenerate the files only from a tree
+whose outputs are known to be right::
 
-    PYTHONPATH=src python3 -m tests.golden_cases
+    PYTHONPATH=src python3 -m tests.golden_cases            # all of them
+    PYTHONPATH=src python3 -m tests.golden_cases digests    # the digests only
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -27,6 +31,7 @@ from relchern.render import class_to_json, to_latex, to_text
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 GOLDEN = os.path.join(DATA, "golden.json")
+DIGESTS = os.path.join(DATA, "render_digests.json")
 DEMOS = os.path.join(ROOT, "demos")
 
 
@@ -51,10 +56,18 @@ def _m4(dim):
     return base, HypersurfaceSpec(3, A + C, bundle)
 
 
-def _fermat(n, d):
-    family = FermatFamily(n, d)
+def _fermat(n, d, dim=3):
+    family = FermatFamily(n, d, dim)
     base = family.formal_base()
     return base, family.hypersurface(base)
+
+
+def _four_divisors(dim):
+    # four divisors, the root B three times over
+    base = FormalBase(dim, divisors=("A", "B", "C", "D"))
+    A, B, C, D = (base.ring.sym(n) for n in "ABCD")
+    roots = [base.ring.zero, A, B, C, D, A + B, (B, 2)]
+    return base, HypersurfaceSpec.from_roots(3, A + C, roots)
 
 
 def anchors():
@@ -158,6 +171,51 @@ def demo_stdout(name):
     return proc.stdout
 
 
+def digest_cases():
+    """``(case id, base, hypersurface)`` for the wide jobs whose ``svw``
+    pieces are pinned by digest: the Weierstrass anchor on either side of
+    the 7- to 8-bit and 8- to 9-bit field widths, four divisors with a
+    repeated root, and a Fermat grid point at dim 40."""
+    cases = [(f"weierstrass-d{dim}", *_weierstrass(dim))
+             for dim in (63, 64, 127, 128)]
+    cases.append(("four-divisors-d8", *_four_divisors(8)))
+    cases.append(("fermat-n3-d4-d40", *_fermat(3, 4, 40)))
+    return cases
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# the CLI's svw on the demo job at a trunc whose fields are 9 bits wide, in
+# every format: its stdout, as the stdlib-only CI job also checks it
+CLI_DIGEST_ID = "svw-weierstrass-trunc128"
+CLI_DIGEST_ARGV = ("svw", "--config", os.path.join(DEMOS, "weierstrass.json"),
+                   "--trunc", "128")
+
+
+def render_digests():
+    pieces = {case_id: [{name: sha256(text)
+                         for name, text in renderings(piece).items()}
+                        for piece in svw_components(hyp, base)]
+              for case_id, base, hyp in digest_cases()}
+    cli = {}
+    for fmt in ("text", "latex", "json"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([*CLI_DIGEST_ARGV, "--format", fmt])
+        if code:
+            raise RuntimeError(f"svw --format {fmt} exited {code}")
+        cli[fmt] = sha256(stdout.getvalue())
+    return {"pieces": pieces, "cli": {CLI_DIGEST_ID: cli}}
+
+
+def write_digests():
+    with open(DIGESTS, "w", encoding="utf-8") as handle:
+        json.dump(render_digests(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
 def write_all():
     os.makedirs(os.path.join(DATA, "demos"), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as handle:
@@ -167,7 +225,11 @@ def write_all():
         path = os.path.join(DATA, "demos", name + ".out")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(demo_stdout(name))
+    write_digests()
 
 
 if __name__ == "__main__":
-    write_all()
+    if sys.argv[1:] == ["digests"]:
+        write_digests()
+    else:
+        write_all()

@@ -1,5 +1,7 @@
 """Base-variety models: formal Chern symbols and projective space."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -25,6 +27,22 @@ def test_formal_chern_polynomial():
         base.chern_symbol(3)
     with pytest.raises(SymbolError):
         base.chern_symbol(0)
+
+
+@pytest.mark.parametrize("base", [FormalBase(4, ("L", "M")),
+                                  ProjectiveSpaceBase(4, 3)], ids=repr)
+def test_chern_polynomial_is_built_once_per_base(base):
+    cB = base.chern_polynomial()
+    assert base.chern_polynomial() is cB
+    # the kept class is no field: equality, hashing, repr and copies skip it
+    for clone in (pickle.loads(pickle.dumps(base)), copy.copy(base),
+                  copy.deepcopy(base)):
+        assert clone == base and hash(clone) == hash(base)
+        assert repr(clone) == repr(base)
+        rebuilt = clone.chern_polynomial()
+        assert rebuilt == cB and rebuilt is not cB
+        assert rebuilt.ring is clone.ring
+        assert clone.chern_polynomial() is rebuilt
 
 
 def test_an_oversized_formal_dimension_fails_before_any_symbol_is_built(

@@ -6,7 +6,10 @@ back 32-bit fields.  So the same computation done in ``ring`` and in
 ``ring.with_formal(["z"])``, then converted back, runs the kernels at two
 widths and must give the same value.  The bounds sit on either side of each
 power of two, and the values hold exponents exactly at the bound next to
-nonzero neighbouring fields, where a carry would show first."""
+nonzero neighbouring fields, where a carry would show first.  At every
+width from 1 to 9 bits, and at 32 bits with formal exponents up to the
+largest a field holds, the canonical terms and their codimensions must be
+those of a decode that walks every field."""
 
 import copy
 import pickle
@@ -14,8 +17,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relchern import ChowRing, FormalBase, Symbol, expand_ratio
+from relchern.ring import _MAX_EXP
 
 BOUNDS = (0, 1, 2, 3, 4, 7, 8, 15, 16, 63, 64, 127, 128)
 
@@ -122,3 +128,87 @@ def test_divisor_only_keys_of_a_dimension_60_base_fit_one_digit():
                   L ** 60):
         assert value._terms
         assert all(0 <= key < 2 ** 30 for key in value._terms)
+
+
+# -- canonical order at every width ------------------------------------------
+
+
+def full_walk(ring, key):
+    """The sort key, codimension and monomial of a key, read field by field,
+    zero or not: total degree with formal variables counting 1, then the
+    exponent vector in field order, larger first."""
+    names = list(ring._shift)  # in field order
+    exps = [key >> ring._shift[name] & ring._mask for name in names]
+    degrees = [ring.degree_of(name) for name in names]
+    degree = sum(e * d for e, d in zip(exps, degrees))
+    codim = sum(e * d for e, d, name in zip(exps, degrees, names)
+                if not ring.is_formal(name))
+    mono = tuple((name, e) for name, e in zip(names, exps) if e)
+    return (degree, [-e for e in exps]), codim, mono
+
+
+def reference_canonical(value):
+    rows = sorted((full_walk(value.ring, key) + (c,)
+                   for key, c in value._terms.items()), key=lambda row: row[0])
+    return ([codim for _, codim, _, _ in rows],
+            [(mono, c) for _, _, mono, c in rows])
+
+
+EDGES = (0, 1, 63, 64, 127, 128, 130)
+_FORMAL_EXPS = st.one_of(st.integers(0, 3), st.integers(0, _MAX_EXP),
+                         st.sampled_from([_MAX_EXP - 1, _MAX_EXP]))
+
+
+@st.composite
+def wide_values(draw):
+    """A class of ``ring_of(bound)`` for a bound in 0..130, so fields of 1 to
+    9 bits, or of that ring with the formal variables x and y, whose fields
+    are 32 bits wide and whose exponents reach ``_MAX_EXP``."""
+    bound = draw(st.one_of(st.sampled_from(EDGES), st.integers(0, 130)))
+    ring = ring_of(bound)
+    formal = draw(st.booleans())
+    if formal:
+        ring = ring.with_formal(["x", "y"])
+    value = ring.zero
+    for _ in range(draw(st.integers(0, 6))):
+        term = ring.const(draw(st.sampled_from([1, -1, 2, -7, Fraction(3, 4)])))
+        room = bound
+        for name in draw(st.permutations(["L", "M", "c2", "c3"])):
+            e = draw(st.integers(0, room // ring.degree_of(name)))
+            room -= e * ring.degree_of(name)
+            term = term * ring.sym(name) ** e
+        if formal:
+            term = term * ring.sym("x") ** draw(_FORMAL_EXPS)
+            term = term * ring.sym("y") ** draw(_FORMAL_EXPS)
+        value = value + term
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_values())
+@example(ring_of(127).sym("c3") ** 42 * ring_of(127).sym("L")
+         + ring_of(127).sym("M") ** 127 - ring_of(127).sym("L") ** 127)
+@example(ring_of(0).const(5))
+@example(ring_of(64).with_formal(["x", "y"]).sym("y") ** _MAX_EXP
+         - ring_of(64).with_formal(["x", "y"]).sym("x") ** _MAX_EXP
+         + ring_of(64).with_formal(["x", "y"]).sym("M") ** 64)
+def test_canonical_terms_match_a_full_walk(value):
+    codims, terms = reference_canonical(value)
+    canon_codims, canon_terms = value._canonical()
+    assert list(canon_codims) == codims
+    assert list(canon_terms) == terms
+    assert value.terms() == terms
+
+
+def test_equal_factors_of_two_classes_share_one_tuple():
+    # values keep their decoded terms, so a factor decoded twice is kept once
+    ring = ring_of(8).with_formal(["x"])
+    L, M, c2, x = (ring.sym(name) for name in ("L", "M", "c2", "x"))
+    first = 3 * L ** 2 * M + L ** 2 * c2 - x ** 40 * M
+    second = (L ** 2 - 5 * M * L ** 2 + x ** 40) * (1 + c2)
+    seen = {}
+    for value in (first, second, first.component(3), ring.convert(second)):
+        for mono, _ in value.terms():
+            for factor in mono:
+                assert seen.setdefault(factor, factor) is factor
+    assert {("L", 2), ("M", 1), ("x", 40), ("c2", 1)} <= set(seen)
