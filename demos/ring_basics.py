@@ -8,7 +8,7 @@ finite, exact expansions.
 
 from fractions import Fraction
 
-from relchern import ChowRing, Symbol, expand_ratio
+from relchern import ChowRing, Symbol, divided_difference, expand_ratio
 
 
 def main():
@@ -35,15 +35,12 @@ def main():
     for k in range(ring.bound + 1):
         print(f"  codim {k}:", p.component(k))
 
-    # formal variables are exempt from truncation; divided_difference
-    # takes its points among them
-    formal = ring.with_formal(["x"])
-    x = formal.sym("x")
-    tall = x ** 7 + formal.convert(L) * x ** 5
-    print("\nformal variables outlive the bound:")
-    print("  x^7 + L*x^5     =", tall)
-    print("  d/dx of that    =", tall.derivative("x"))
-
+    # the divided difference of t^3 at two classes; a repeated node gives
+    # the confluent value, the derivative 3t^2 at L
+    cube = [0, 0, 0, 1]
+    print("\ndivided differences at classes:")
+    print("  t^3 at [L, 2L]  =", divided_difference(cube, [L, 2 * L]))
+    print("  t^3 at [L, L]   =", divided_difference(cube, [L, L]))
 
 if __name__ == "__main__":
     main()

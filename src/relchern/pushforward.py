@@ -56,8 +56,6 @@ def _root_entries(roots):
     if not entries:
         raise BundleError("at least one Chern root is required")
     ring = entries[0][0].ring
-    if ring.formal:
-        raise BundleError("bundle roots live in the base ring, not a formal extension")
     for form, _ in entries:
         if form.ring != ring:
             raise ContextError("Chern roots belong to different ring contexts")
@@ -396,32 +394,26 @@ def pushforward_series(cls):
 # -- divided-difference route --------------------------------------------
 
 
-def divided_difference(coeffs, points, ring=None):
-    """Newton divided difference of ``sum(coeffs[k] * t**k)`` at ``points``.
+def divided_difference(coeffs, nodes):
+    """Newton divided difference of ``sum(coeffs[k] * t**k)`` at ``nodes``.
 
-    ``points`` are formal variables of ``ring``, which defaults to the ring
-    of the first class among the coefficients; the coefficients must not
-    involve them.  The order of the difference is ``len(points) - 1``; the
-    result is symmetric in the points, and a point repeated ``k + 1`` times
-    gives the confluent value, the ``k``-th derivative there over ``k!``.
+    The nodes are classes of one ring; each coefficient is a class of that
+    ring or an exact rational.  The order of the difference is
+    ``len(nodes) - 1``; the result is symmetric in the nodes and truncated
+    at the ring's bound, and a node repeated ``k + 1`` times gives the
+    confluent value, the ``k``-th derivative there over ``k!``.
     """
-    coeffs, points = list(coeffs), list(points)
-    if not points:
-        raise ValueError("at least one point is required")
-    if ring is None:
-        ring = next((c.ring for c in coeffs if isinstance(c, ChowPoly)), None)
-        if ring is None:
-            raise ValueError("no coefficient is a class; pass the ring")
-    for name in points:
-        if not ring.is_formal(name):
-            raise ChowError(f"point {name!r} is not a formal variable")
-    lifted = [ring.convert(c) for c in coeffs]
-    banned = set(points)
-    for c in lifted:
-        if c.symbols_used() & banned:
-            raise ChowError("coefficients must not involve the point variables")
+    nodes = list(nodes)
+    if not nodes:
+        raise ValueError("at least one node is required")
+    if not all(isinstance(x, ChowPoly) for x in nodes):
+        raise TypeError("the nodes must be classes")
+    ring = nodes[0].ring
+    lifted = list(map(ring.zero._coerce, [*nodes, *coeffs]))
+    if any(c is None for c in lifted):
+        raise TypeError("the coefficients must be classes or exact rationals")
     return ring._finish(_divided_difference(
-        ring, [c._terms for c in lifted], [ring.sym(name) for name in points]))
+        ring, [c._terms for c in lifted[len(nodes):]], lifted[:len(nodes)]))
 
 
 def _divided_difference(ring, coeffs, nodes):
@@ -451,8 +443,7 @@ def pushforward_closed_form(cls):
     ``rank`` negated Chern roots, each repeated by its multiplicity, the
     zero root included: ``H**(rank-1+k)`` gives the complete homogeneous
     polynomial of degree ``k`` in them, the codimension-``k`` part of
-    ``1/c(E)``.  The nodes are base classes, so no formal variable is
-    needed.  The result equals :func:`pushforward_series`.
+    ``1/c(E)``.  The result equals :func:`pushforward_series`.
     """
     bundle = cls.bundle
     nodes = [-form for form, mult in bundle.roots for _ in range(mult)]

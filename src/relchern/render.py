@@ -137,9 +137,7 @@ def class_to_json(cls):
     Every nonzero graded piece becomes ``{"codim": k, "terms": [...]}`` with
     terms as ``{"monomial": {name: exp}, "coeff": {...}}`` in canonical
     order; numerators and denominators are decimal strings so arbitrary
-    precision survives any JSON reader.  Formal variables count towards the
-    degree that orders terms but not towards codimension, so the pieces'
-    terms may interleave in canonical order.
+    precision survives any JSON reader.
     """
     codims, terms = cls._canonical()
     entries = [{"monomial": dict(mono),
@@ -150,7 +148,7 @@ def class_to_json(cls):
         return []
     if codims.count(codims[0]) == len(codims):  # as for a graded piece
         return [{"codim": codims[0], "terms": entries}]
-    pieces = {}
+    pieces = {}  # codims ascend in canonical order
     for k, entry in zip(codims, entries):
         pieces.setdefault(k, []).append(entry)
-    return [{"codim": k, "terms": pieces[k]} for k in sorted(pieces)]
+    return [{"codim": k, "terms": terms} for k, terms in pieces.items()]

@@ -9,28 +9,22 @@ greater than ``m``.  That degree is a term's codimension.
 
 Coefficients are exact rationals: an ``int`` when integral, otherwise a
 :class:`fractions.Fraction` (the two compare and hash equal); floats are
-rejected so every identity holds exactly.  A ring may carry extra *formal*
-variables, which count 0 towards the truncated degree (so no power of them
-truncates away); they host only the points of
-:func:`relchern.pushforward.divided_difference`, as the pushforward routes
-work in the base ring alone.
+rejected so every identity holds exactly.
 
 A monomial is stored as its exponent vector packed into one integer of
 fixed-width fields: field 0 holds the degree that truncation counts, field
-``i + 1`` the exponent of the ring's ``i``-th variable in ``(degree, name)``
+``i + 1`` the exponent of the ring's ``i``-th symbol in ``(degree, name)``
 order.  A product of monomials is then one integer addition,
 and a term's degree is read off without looking at its symbols.
 
-A ring without formal variables gives every field ``bound.bit_length() + 1``
-bits: no term it keeps has a degree or an exponent above ``bound``, and the
-kernels add two keys only while the sum's degree stays within a limit of at
-most ``bound``.  Every field of a valid key then has its top bit clear, so a
-sum of two keys never carries into the next field, and a key stays a few
-machine digits long: a divisor-only class of a dimension-60 base fits in one
-30-bit digit.  Formal exponents are unbounded, so a ring with formal
-variables keeps 32-bit fields, with the top bit of each formal field
-guarded.  Equal rings get equal widths; a value changes rings through its
-decoded monomials (:meth:`ChowRing._flat_terms`).
+Every field has ``bound.bit_length() + 1`` bits: no term a ring keeps has a
+degree or an exponent above ``bound``, and the kernels add two keys only
+while the sum's degree stays within a limit of at most ``bound``.  Every
+field of a valid key then has its top bit clear, so a sum of two keys never
+carries into the next field, and a key stays a few machine digits long: a
+divisor-only class of a dimension-60 base fits in one 30-bit digit.  Equal
+rings get equal widths; a value changes rings through its decoded monomials
+(:meth:`ChowRing._flat_terms`).
 
 Values are immutable and operations are pure.
 """
@@ -45,9 +39,8 @@ from fractions import Fraction
 
 from .render import _text_strings, format_terms
 
-_BITS = 32
-_FIELD = (1 << _BITS) - 1
-_MAX_EXP = _FIELD >> 1  # a field's top bit stays clear, so sums never carry
+# the largest bound: its fields are 32 bits wide
+_MAX_BOUND = (1 << 31) - 1
 
 
 class ChowError(Exception):
@@ -63,7 +56,7 @@ class NonUnitError(ChowError):
 
 
 class SymbolError(ChowError):
-    """Unknown symbol, or an operation reserved for formal variables."""
+    """Unknown, invalid or repeated symbol."""
 
 
 class GradeError(ChowError):
@@ -88,10 +81,9 @@ def _rational(value):
 
 
 def _check_bound(bound):
-    """A truncation bound is an ``int`` in ``[0, _MAX_EXP]``, so no degree
-    or exponent a ring keeps can set a field's top bit."""
-    if not _is_int(bound) or not 0 <= bound <= _MAX_EXP:
-        raise GradeError(f"truncation bound must be an integer in [0, {_MAX_EXP}]")
+    """A truncation bound is an ``int`` in ``[0, _MAX_BOUND]``."""
+    if not _is_int(bound) or not 0 <= bound <= _MAX_BOUND:
+        raise GradeError(f"truncation bound must be an integer in [0, {_MAX_BOUND}]")
 
 
 class _Frozen:
@@ -183,52 +175,39 @@ class _Factors(dict):
         return factor
 
 
-class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
-    """A symbol table, a truncation bound and optional formal variables.
+class ChowRing(_Frozen, fields=("symbols", "bound")):
+    """A symbol table and a truncation bound.
 
     The bound is the dimension of the underlying variety.  A term's
     codimension is its truncated degree, field 0 of its packed key: the sum
-    of its symbols' degrees, with formal variables counting 0.  Two rings are
-    interchangeable contexts exactly when their symbol tables, bounds and
-    formal variables agree.  Those also fix the width of every field of a
-    key, ``_bits``; ``_mask`` reads one field, and ``key & _mask`` is the
-    degree.
+    of its symbols' degrees.  Two rings are interchangeable contexts exactly
+    when their symbol tables and bounds agree.  Those also fix the width of
+    every field of a key, ``_bits``; ``_mask`` reads one field, and
+    ``key & _mask`` is the degree.
     """
 
-    __slots__ = ("symbols", "bound", "formal", "_degrees", "_formal_set",
-                 "_bits", "_mask", "_shift", "_unit", "_guard", "_walk",
-                 "_syms")
+    __slots__ = ("symbols", "bound", "_degrees", "_bits", "_mask", "_shift",
+                 "_unit", "_walk", "_syms")
 
-    def __init__(self, symbols, bound, formal=()):
+    def __init__(self, symbols, bound):
         _check_bound(bound)
         syms = [s if isinstance(s, Symbol) else Symbol(*s) for s in symbols]
         syms.sort(key=lambda s: (s.degree, s.name))
-        formal = tuple(sorted(formal))
-        names = [s.name for s in syms]
-        if len(set(names) | set(formal)) != len(names) + len(formal):
-            raise SymbolError("symbol names must be unique within a ring")
         degrees = {s.name: s.degree for s in syms}
-        for name in formal:
-            Symbol(name)  # validates the identifier
-            degrees[name] = 1
-        formal_set = frozenset(formal)
-        # no field of a non-formal ring exceeds the bound (module docstring)
-        bits = _BITS if formal else bound.bit_length() + 1
-        # fields follow the (degree, name) order of printed monomials
-        order = sorted(degrees, key=lambda n: (degrees[n], n))
-        shift = {name: bits * (i + 1) for i, name in enumerate(order)}
-        unit = {name: (0 if name in formal_set else degrees[name])
-                + (1 << shift[name]) for name in order}
-        guard = sum(1 << (shift[name] + bits - 1) for name in formal)
+        if len(degrees) != len(syms):
+            raise SymbolError("symbol names must be unique within a ring")
+        # no field exceeds the bound (module docstring); fields follow the
+        # (degree, name) order of printed monomials
+        bits = bound.bit_length() + 1
+        shift = {name: bits * (i + 1) for i, name in enumerate(degrees)}
+        unit = {name: degrees[name] + (1 << shift[name]) for name in degrees}
         # _walk: see _decoders; _syms: name -> the value of sym(name);
         # both filled on first use
-        self._set(tuple(syms), bound, formal, degrees, formal_set, bits,
-                  (1 << bits) - 1, shift, unit, guard, None, {})
+        self._set(tuple(syms), bound, degrees, bits, (1 << bits) - 1, shift,
+                  unit, None, {})
 
     def __repr__(self):
         names = ",".join(s.name for s in self.symbols)
-        if self.formal:
-            names += ";" + ",".join(self.formal)
         return f"ChowRing({names}; bound={self.bound})"
 
     # -- symbol table -------------------------------------------------
@@ -238,13 +217,6 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
             return self._degrees[name]
         except KeyError:
             raise SymbolError(f"unknown symbol {name!r}") from None
-
-    def is_formal(self, name):
-        return name in self._formal_set
-
-    def _require_formal(self, name):
-        if name not in self._formal_set:
-            raise SymbolError(f"{name!r} is not a formal variable of this ring")
 
     @property
     def zero(self):
@@ -272,11 +244,8 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
 
     # -- derived contexts ----------------------------------------------
 
-    def with_formal(self, names):
-        return ChowRing(self.symbols, self.bound, self.formal + tuple(names))
-
     def with_bound(self, bound):
-        return ChowRing(self.symbols, bound, self.formal)
+        return ChowRing(self.symbols, bound)
 
     def convert(self, value):
         """Reinterpret a value in this ring, truncating to this bound.
@@ -305,8 +274,7 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
         # {((name, exp), ...): coeff} -> value; drops terms above the bound
         out = {}
         for mono, c in terms.items():
-            if sum(e * self._degrees[n] for n, e in mono
-                   if n not in self._formal_set) <= self.bound:
+            if sum(e * self._degrees[n] for n, e in mono) <= self.bound:
                 out[sum(e * self._unit[n] for n, e in mono)] = c
         return self._finish(out)
 
@@ -374,8 +342,6 @@ class ChowRing(_Frozen, fields=("symbols", "bound", "formal")):
                 terms[key] = c.numerator
         for key in zeros:
             del terms[key]
-        if self._guard and any(key & self._guard for key in terms):
-            raise ChowError(f"formal exponent above {_MAX_EXP}")
         return ChowPoly(self, terms)
 
 
@@ -414,8 +380,7 @@ def _mul_into(out, left, right, limit):
     all of ``right`` as it stands, with no search and no slice; that is every
     term of a product by a linear factor but those at the limit.  A right
     operand of one term whose key is 0, a constant, scales the left terms
-    within the limit in one pass.  The key decides, not the degree: a bare
-    formal monomial has degree 0 too."""
+    within the limit in one pass."""
     items, degrees, mask = right
     if not items:
         return
@@ -543,13 +508,11 @@ def _divide_unit(negated, mask, nums, limits, step=0):
 
 def _unit_divider(unit):
     """``divide(nums, limits, step=0)``: :func:`_divide_unit` by ``unit``.
-    ``unit`` must have constant term 1 and no formal variables; its tail is
-    split once, at the bound, for every limit."""
+    ``unit`` must have constant term 1; its tail is split once, at the
+    bound, for every limit."""
     ring = unit.ring
     if unit.constant_term() != 1:
         raise NonUnitError("division requires a denominator with constant term 1")
-    if ring.formal and unit.uses_formal():
-        raise SymbolError("division by a class in formal variables is not available")
     negated = _negated_tail({key: c for key, c in unit._terms.items() if key},
                             ring.bound, ring._mask)
     return functools.partial(_divide_unit, negated, ring._mask)
@@ -601,9 +564,6 @@ class ChowPoly:
         return {name for name, shift in self.ring._shift.items()
                 if seen >> shift & mask}
 
-    def uses_formal(self):
-        return any(self.ring.is_formal(n) for n in self.symbols_used())
-
     def is_homogeneous(self, degree=None):
         mask = self.ring._mask
         degs = {key & mask for key in self._terms}
@@ -617,7 +577,7 @@ class ChowPoly:
             if not _is_int(e):
                 raise ValueError("exponent must be an integer")
         mono = tuple((n, e) for n, e in exponents.items() if e)
-        if not all(0 < e <= _MAX_EXP for _, e in mono):
+        if not all(0 < e <= self.ring.bound for _, e in mono):
             return 0
         key = self.ring._from_monomials({mono: 1})._terms
         return self._terms.get(next(iter(key), -1), 0)  # -1: truncated away
@@ -708,8 +668,7 @@ class ChowPoly:
     # -- graded structure ---------------------------------------------
 
     def component(self, codim):
-        """The homogeneous piece of the given codimension, the truncated
-        degree (formal variables count 0).
+        """The homogeneous piece of the given codimension.
 
         The index must lie in ``[0, bound]``; anything else is a
         :class:`GradeError` rather than silently zero.
@@ -720,7 +679,7 @@ class ChowPoly:
 
     def components(self):
         """The homogeneous pieces of codimension ``0..bound``, adding up to the
-        value; codimension is the truncated degree (formal variables count 0)."""
+        value."""
         if self._pieces is None:
             ring = self.ring
             self._pieces = [ChowPoly(ring, piece) for piece
@@ -743,30 +702,10 @@ class ChowPoly:
         return ChowPoly(self.ring, {key: c for key, c in self._terms.items()
                                     if key & mask <= degree})
 
-    # -- formal-variable calculus ---------------------------------------
-
-    def _by_power(self, name):
-        """``{e: value}``: the terms grouped by their exponent ``e`` of the
-        formal variable ``name``, each group with that factor removed."""
-        self.ring._require_formal(name)
-        shift, mask = self.ring._shift[name], self.ring._mask
-        groups = {}
-        for key, c in self._terms.items():
-            e = key >> shift & mask
-            groups.setdefault(e, {})[key - (e << shift)] = c
-        return {e: ChowPoly(self.ring, part) for e, part in groups.items()}
-
-    def derivative(self, name):
-        """Partial derivative with respect to a formal variable."""
-        groups = self._by_power(name)
-        unit = self.ring._unit[name]
-        return self.ring._finish({key + (e - 1) * unit: c * e
-                                  for e, part in groups.items() if e
-                                  for key, c in part._terms.items()})
-
     def substitute(self, name, value):
-        """Replace a formal variable by a class of the same ring."""
-        self.ring._require_formal(name)
+        """Replace the symbol ``name`` by a class of this ring or an exact
+        rational."""
+        self.ring.degree_of(name)  # an unknown name is a SymbolError
         return self.rewrite({name: value})
 
     def rewrite(self, mapping, ring=None):
@@ -804,9 +743,8 @@ def expand_ratio(numerator, denominator):
 
     The denominator must have constant term 1, which makes it a unit of the
     truncated ring; the quotient is computed degree by degree
-    (:func:`_divide_unit`).  Formal variables are not allowed in the
-    denominator, as no power of them ever truncates away.  Either operand,
-    but not both, may be an exact rational.
+    (:func:`_divide_unit`).  Either operand, but not both, may be an exact
+    rational.
     """
     if isinstance(numerator, ChowPoly):
         denominator = numerator._coerce(denominator)

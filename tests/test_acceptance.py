@@ -98,21 +98,23 @@ def test_criterion_6_symmetric_function_identities():
     with criterion(6, "divided differences match enumerated h_j (m,j <= 4) "
                       "and vanish below degree m-1"):
         for m in range(1, 5):
+            # degree-1 nodes in a ring of bound 4 >= j: nothing truncates
             names = [f"x{i}" for i in range(1, m + 1)]
-            ring = ChowRing([Symbol("L")], 1, formal=names)
+            ring = ChowRing([Symbol(name) for name in names], 4)
+            nodes = [ring.sym(name) for name in names]
             for j in range(5):
-                powers = [ring.zero] * (m + j - 1) + [ring.one]
-                value = divided_difference(powers, names, ring)
+                powers = [0] * (m + j - 1) + [1]
+                value = divided_difference(powers, nodes)
                 expected = ring.zero
-                for combo in itertools.combinations_with_replacement(names, j):
+                for combo in itertools.combinations_with_replacement(nodes, j):
                     term = ring.one
-                    for name in combo:
-                        term = term * ring.sym(name)
+                    for node in combo:
+                        term = term * node
                     expected = expected + term
                 assert value == expected, (m, j)
             for p in range(m - 1):
-                powers = [ring.zero] * p + [ring.one]
-                assert divided_difference(powers, names, ring) == 0, (m, p)
+                powers = [0] * p + [1]
+                assert divided_difference(powers, nodes) == 0, (m, p)
 
 
 def test_criterion_7_hypersurface_euler_table():

@@ -56,9 +56,6 @@ def test_bundle_rejects_bad_roots():
         BundleSpec([ring.zero])  # rank 1
     with pytest.raises(BundleError):
         BundleSpec([(ring.zero, True), (L, 2)])  # a bool is not a multiplicity
-    formal = ring.with_formal(["x"])
-    with pytest.raises(BundleError):
-        BundleSpec([formal.zero, formal.sym("L")])
     # neither a class nor a (class, multiplicity) pair
     for item in (5, (L, 1, 2), "L"):
         with pytest.raises(BundleError, match="pair"):
@@ -184,8 +181,10 @@ def test_pushforward_series_examples():
 
 
 def make_points(m, bound=4):
-    ring = ChowRing([Symbol("L")], bound, formal=[f"x{i}" for i in range(1, m + 1)])
-    return ring, [f"x{i}" for i in range(1, m + 1)]
+    # the degree-1 symbols x1..xm of an ordinary ring, as the nodes
+    names = [f"x{i}" for i in range(1, m + 1)]
+    ring = ChowRing([Symbol("L")] + [Symbol(name) for name in names], bound)
+    return ring, [ring.sym(name) for name in names]
 
 
 def monomial_power(ring, exponent):
@@ -195,18 +194,18 @@ def monomial_power(ring, exponent):
 
 def test_divided_difference_quadratic():
     ring, pts = make_points(2)
-    out = divided_difference(monomial_power(ring, 2), pts, ring)
-    assert out == ring.sym("x1") + ring.sym("x2")
-    # the ring defaults to that of the first coefficient
-    assert divided_difference(monomial_power(ring, 2), pts) == out
+    out = divided_difference(monomial_power(ring, 2), pts)
+    assert out == pts[0] + pts[1]
+    # exact rationals serve as coefficients
+    assert divided_difference([0, 0, 1], pts) == out
 
 
-def enumerated_complete_homogeneous(ring, names, degree):
+def enumerated_complete_homogeneous(ring, nodes, degree):
     total = ring.zero
-    for combo in itertools.combinations_with_replacement(names, degree):
+    for combo in itertools.combinations_with_replacement(nodes, degree):
         term = ring.one
-        for name in combo:
-            term = term * ring.sym(name)
+        for node in combo:
+            term = term * node
         total = total + term
     return total
 
@@ -215,7 +214,7 @@ def test_divided_difference_complete_homogeneous_grid():
     for m in range(1, 5):
         for j in range(0, 5):
             ring, pts = make_points(m)
-            out = divided_difference(monomial_power(ring, m + j - 1), pts, ring)
+            out = divided_difference(monomial_power(ring, m + j - 1), pts)
             assert out == enumerated_complete_homogeneous(ring, pts, j), (m, j)
 
 
@@ -223,7 +222,7 @@ def test_divided_difference_low_powers_vanish():
     for m in range(2, 6):
         ring, pts = make_points(m)
         for power in range(0, m - 1):
-            assert divided_difference(monomial_power(ring, power), pts, ring) == 0
+            assert divided_difference(monomial_power(ring, power), pts) == 0
 
 
 def test_divided_difference_permutation_invariance():
@@ -232,37 +231,81 @@ def test_divided_difference_permutation_invariance():
     L = ring.sym("L")
     coeffs = [ring.const(rng.randint(-3, 3)) + rng.randint(-3, 3) * L
               for _ in range(7)]
-    reference = divided_difference(coeffs, pts, ring)
+    reference = divided_difference(coeffs, pts)
     for _ in range(6):
         shuffled = pts[:]
         rng.shuffle(shuffled)
-        assert divided_difference(coeffs, shuffled, ring) == reference
+        assert divided_difference(coeffs, shuffled) == reference
 
 
 def test_divided_difference_rejects_tainted_coefficients():
+    # coefficients are classes or exact rationals, nodes are classes, and
+    # there is at least one node
     ring, pts = make_points(2)
-    with pytest.raises(ChowError):
-        divided_difference([ring.sym("x1")], pts, ring)
-    with pytest.raises(ChowError):
-        divided_difference([ring.sym("L")], ["L"], ring)
+    for bad in (0.5, "L", None, True):
+        with pytest.raises(TypeError):
+            divided_difference([1, bad], pts)
+    for nodes in ([1], ["x1"], [pts[0], Fraction(1, 2)]):
+        with pytest.raises(TypeError):
+            divided_difference([1], nodes)
     with pytest.raises(ValueError):
-        divided_difference([ring.one], [], ring)
+        divided_difference([ring.one], [])
 
 
 def test_divided_difference_at_a_repeated_point_is_the_derivative():
-    ring, _ = make_points(1)
-    x1 = ring.sym("x1")
-    assert divided_difference(monomial_power(ring, 2), ["x1", "x1"]) == 2 * x1
-    assert divided_difference(monomial_power(ring, 3), ["x1"] * 3) == 3 * x1
+    ring, [x1] = make_points(1)
+    assert divided_difference(monomial_power(ring, 2), [x1, x1]) == 2 * x1
+    assert divided_difference(monomial_power(ring, 3), [x1] * 3) == 3 * x1
 
 
 def test_divided_difference_takes_the_ring_from_the_first_class():
-    ring, _ = make_points(1)
+    # the first node's ring; a class of any other ring is a ContextError
+    ring, [x1] = make_points(1)
     L = ring.sym("L")
-    assert divided_difference([1, L, 2], ["x1", "x1"]) == L + 4 * ring.sym("x1")
-    for coeffs in ([], [1, 2], [Fraction(1, 2)]):
-        with pytest.raises(ValueError, match="ring"):
-            divided_difference(coeffs, ["x1"])
+    assert divided_difference([1, L, 2], [x1, x1]) == L + 4 * x1
+    other = ring_L(4)
+    with pytest.raises(ContextError):
+        divided_difference([other.sym("L")], [x1])
+    with pytest.raises(ContextError):
+        divided_difference([1], [x1, other.sym("L")])
+    with pytest.raises(ContextError):
+        divided_difference([L], [other.sym("L")])
+
+
+def test_divided_difference_at_sums_of_classes_is_the_series_push():
+    # nodes that are sums, the negated roots 0, -2L and L + M (then -2L
+    # twice), with coefficients in L and M themselves
+    rng = random.Random(31)
+    ring = ChowRing([Symbol("L"), Symbol("M")], 3)
+    L, M = ring.sym("L"), ring.sym("M")
+    for roots, nodes in (([ring.zero, 2 * L, -L - M], [ring.zero, -2 * L, L + M]),
+                         ([ring.zero, (2 * L, 2)], [ring.zero, -2 * L, -2 * L])):
+        bundle = BundleSpec(roots)
+        for _ in range(10):
+            coeffs = [random_poly(rng, ring, 3) for _ in range(rng.randint(1, 6))]
+            assert divided_difference(coeffs, nodes) == \
+                pushforward_series(ProjClass(bundle, coeffs)), (roots, coeffs)
+
+
+def test_divided_difference_truncates_at_the_bound():
+    # h_j of the nodes is dropped once j passes the bound
+    for bound in range(3):
+        for m in range(1, 4):
+            ring, pts = make_points(m, bound)
+            for j in range(5):
+                out = divided_difference(monomial_power(ring, m + j - 1), pts)
+                expected = (enumerated_complete_homogeneous(ring, pts, j)
+                            if j <= bound else 0)
+                assert out == expected, (bound, m, j)
+
+
+def test_divided_difference_at_the_negated_roots_is_the_closed_form():
+    # the public function at the nodes pushforward_closed_form takes
+    rng = random.Random(41)
+    for _ in range(30):
+        _, bundle, cls = random_setup(rng)
+        nodes = [-form for form, mult in bundle.roots for _ in range(mult)]
+        assert divided_difference(cls.coeffs, nodes) == pushforward_closed_form(cls)
 
 
 # -- closed-form route --------------------------------------------------
@@ -311,8 +354,8 @@ def test_closed_form_rank_without_nontrivial_roots():
 
 def test_closed_form_points_avoid_the_base_symbol_names():
     # the closed form divides at the negated roots, classes of the base
-    # ring, so it makes no formal point whose name could clash with the
-    # base's symbols x1 and _x1
+    # ring, so it names no node that could clash with the base's symbols
+    # x1 and _x1
     ring = ChowRing([Symbol("x1"), Symbol("_x1")], 3)
     x, y = ring.sym("x1"), ring.sym("_x1")
     bundle = BundleSpec([ring.zero, x, (x + y, 2)])

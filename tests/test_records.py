@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from relchern import (FermatFamily, FormalBase, HypersurfaceSpec,
+from relchern import (ChowRing, FermatFamily, FormalBase, HypersurfaceSpec,
                       ProjectiveSpaceBase, StratumData, Symbol, alpha_class)
 from relchern.expressions import BinOp, Neg, Num, Pow, Sym
 
@@ -158,8 +158,8 @@ VALUES = [
     (lambda: ProjectiveSpaceBase(2), "ProjectiveSpaceBase(dim=2, L unbound)",
      "divisor", True),
     (lambda: FormalBase(3).ring, "ChowRing(L,c1,c2,c3; bound=3)", "bound", True),
-    (lambda: FormalBase(1).ring.with_formal(["x", "_y"]),
-     "ChowRing(L,c1;_y,x; bound=1)", "formal", True),
+    (lambda: FormalBase(1).ring.with_bound(2),
+     "ChowRing(L,c1; bound=2)", "symbols", True),
     (lambda: weierstrass().bundle, "BundleSpec[(0)^1, (2*L)^1, (3*L)^1]",
      "roots", False),
     (weierstrass,
@@ -205,13 +205,22 @@ def test_values_are_immutable(make, text, field, hashable):
     assert value == make() and repr(value) == text
 
 
+def test_a_ring_has_two_fields():
+    ring = FormalBase(2).ring
+    assert ring._fields == (ring.symbols, 2)
+    assert pickle.loads(pickle.dumps(ring)) == ChowRing(ring.symbols, 2)
+    with pytest.raises(TypeError):
+        ChowRing(ring.symbols, 2, ())
+
+
 def test_values_differ_by_any_field():
     assert FormalBase(3) != FormalBase(3, fano=True)
     assert FormalBase(3) != FormalBase(3, ("M",))
     assert FormalBase(2) != ProjectiveSpaceBase(2)
     assert ProjectiveSpaceBase(3, 4) != ProjectiveSpaceBase(3, 4, "M")
     assert FormalBase(3).ring != FormalBase(2).ring
-    assert FormalBase(3).ring != FormalBase(3).ring.with_formal(["x"])
+    assert FormalBase(3).ring != FormalBase(3).ring.with_bound(4)
+    assert FormalBase(3).ring != FormalBase(3, ("M",)).ring
     assert len({FormalBase(3), FormalBase(3), FormalBase(3).ring,
                 FormalBase(3).ring}) == 2
     assert weierstrass().bundle != twisted().bundle

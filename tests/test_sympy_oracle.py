@@ -51,14 +51,30 @@ def test_expand_ratio_equals_the_truncated_sympy_series(seed, names):
     assert sp.expand(series - to_sympy(expand_ratio(num, den), symbols)) == 0
 
 
+def truncated(expr, gens, bound):
+    # the terms of total degree <= bound, every symbol being of degree 1
+    poly = sp.Poly(sp.expand(expr), *gens)
+    return sum((c * sp.Mul(*(g ** e for g, e in zip(gens, mono)))
+                for mono, c in poly.terms() if sum(mono) <= bound), sp.Integer(0))
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(2, 3))
-def test_divided_difference_equals_the_sympy_quotient(seed, count):
+@given(st.integers(0, 2 ** 32), st.integers(2, 3), st.booleans())
+def test_divided_difference_equals_the_sympy_quotient(seed, count, sums):
+    # the nodes are the symbols x1..xn or, as the closed form takes them,
+    # linear forms in L and M such as -2L and L + M, equal ones allowed; the
+    # result is degree 7 at most, so some bounds truncate it and some do not
     rng = random.Random(seed)
     points = [f"x{i}" for i in range(1, count + 1)]
-    ring = ChowRing([Symbol("L"), Symbol("M")], rng.randint(0, 3), formal=points)
+    names = ("L", "M", *points)
+    ring = ChowRing([Symbol(n) for n in names], rng.randint(0, 7))
     coeffs = [random_class(rng, ring, ("L", "M")) for _ in range(rng.randint(1, 6))]
-    symbols = {n: sp.Symbol(n) for n in ("L", "M", *points)}
+    if sums:
+        nodes = [ring.linear({"L": rng.randint(-2, 2), "M": rng.randint(-2, 2)})
+                 for _ in points]
+    else:
+        nodes = [ring.sym(n) for n in points]
+    symbols = {n: sp.Symbol(n) for n in names}
     t = sp.Symbol("t")
     g = sum((to_sympy(c, symbols) * t ** k for k, c in enumerate(coeffs)),
             sp.Integer(0))
@@ -69,6 +85,11 @@ def test_divided_difference_equals_the_sympy_quotient(seed, count):
             return g.subs(t, xs[0])
         return sp.cancel((quotient(xs[:-1]) - quotient(xs[1:])) / (xs[0] - xs[-1]))
 
-    expected = quotient([symbols[n] for n in points])
-    result = divided_difference(coeffs, points, ring)
-    assert sp.expand(expected - to_sympy(result, symbols)) == 0
+    # a polynomial in the x's, so equal nodes may replace them afterwards
+    expected = quotient([symbols[n] for n in points]).subs(
+        {symbols[n]: to_sympy(node, symbols) for n, node in zip(points, nodes)},
+        simultaneous=True)
+    result = divided_difference(coeffs, nodes)
+    gens = [symbols[n] for n in names]
+    assert sp.expand(truncated(expected, gens, ring.bound)
+                     - to_sympy(result, symbols)) == 0
