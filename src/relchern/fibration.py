@@ -10,7 +10,10 @@ of the total space, the Sethi-Vafa-Witten formula.
 ``Q`` is computed three ways.  :func:`q_class` pushes :func:`alpha_class`
 forward by the series route; :func:`q_class_display` reduces it by the
 Grothendieck relation.  The two share one build of the class, made once
-per spec from the bundle's cached ``c(E)`` and kept on the spec.
+per spec from the bundle's cached ``c(E)`` and kept on the spec: with ``C``
+the total Chern class of the relative tangent bundle, the class
+``C*y/(1 + y)`` is built as ``C - C/(1 + y)``, one division by a unit and
+no product by ``y``.
 :func:`q_rational` needs no pushforward: with
 ``M_j`` the roots (multiplicities ``m_j``, ``r`` in all) and
 ``y = d*H + beta``, ``Q`` is the sum of the residues at ``H = -M_j`` of
@@ -38,11 +41,10 @@ from __future__ import annotations
 import math
 
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase, _divisor_symbol
-from .pushforward import (BundleSpec, ProjClass, _product, _twist,
-                          pushforward_series)
+from .pushforward import BundleSpec, ProjClass, _twist, pushforward_series
 from .render import _text_strings, format_terms
-from .ring import (ChowError, ContextError, _Frozen, _is_int, _linear_product,
-                   expand_ratio)
+from .ring import (ChowError, ChowPoly, ContextError, _Frozen, _is_int,
+                   _linear_product, _unit_divider, expand_ratio)
 
 
 class UnsupportedDegreeError(ChowError):
@@ -97,22 +99,36 @@ def alpha_class(hyp):
 
     Writing ``y`` for the hypersurface class, this is
     ``(1 + H)^k0 * prod (1 + H + L_i)^ki * y / (1 + y)``: the total Chern
-    class of the ambient relative tangent bundle times the adjunction
+    class ``C`` of the ambient relative tangent bundle times the adjunction
     factor of the hypersurface.  It is built once per spec and kept there
     (no route changes a class it is given).  By the relative Euler sequence
-    that Chern class is ``sum_i c_i(E) (1 + H)^(r-i)``, so its ``H^k``
-    coefficient scales the graded pieces of :meth:`BundleSpec.total_chern`:
-    ``sum_i C(r-i, k) c_i(E)``.  It is multiplied by ``y`` once, and divided
-    by ``1 + y`` through :meth:`ProjClass._quotient`.
+    ``C = sum_i c_i(E) (1 + H)^(r-i)``, so the ``H^k`` coefficient of ``C``
+    scales the graded pieces of :meth:`BundleSpec.total_chern`:
+    ``sum_i binom(r-i, k) c_i(E)``.  As ``y / (1 + y) = 1 - 1 / (1 + y)``,
+    the class is ``C - C / (1 + y)``: ``-C`` is divided by ``1 + y`` in one
+    pass over the powers of ``H`` (:func:`~relchern.ring._divide_unit`), and
+    ``C`` is added back into the ``H^0 .. H^r`` coefficients; no product by
+    ``y`` runs.
     """
     if hyp._alpha is not None:
         return hyp._alpha
     bundle, ring, beta = hyp.bundle, hyp.bundle.ring, hyp.beta
-    chern, r, d = bundle.total_chern(), bundle.rank, ring.const(hyp.degree)
-    coeffs = [chern._graded_scale([math.comb(r - i, k) for i in range(r - k + 1)])
-              for k in range(min(r, bundle.ambient_dim) + 1)]
-    coeffs = _product(bundle, [c._terms for c in coeffs], (beta, d))
-    alpha = ProjClass._quotient(bundle, coeffs, (ring.one + beta, d))
+    chern, r, dmax = bundle.total_chern(), bundle.rank, bundle.ambient_dim
+    negated = [chern._graded_scale([-math.comb(r - i, k)
+                                    for i in range(r - k + 1)])._terms
+               for k in range(min(r, dmax) + 1)]
+    # H^n keeps codimension <= dmax - n; by 1 + y = 1 + beta + d*H, the
+    # H^n coefficient of -C/(1 + y) is (-C_n - d*z_(n-1)) / (1 + beta)
+    limits = [min(ring.bound, dmax - n) for n in range(dmax + 1)]
+    quotient = _unit_divider(ring.one + beta)(negated, limits, -hyp.degree)
+    for z, terms in zip(quotient, negated):
+        for key, c in terms.items():
+            z[key] = z.get(key, 0) - c
+    # the quotient comes finished; adding C back may cancel terms
+    low = len(negated)
+    alpha = ProjClass._normalized(
+        bundle, [*map(ring._finish, quotient[:low]),
+                 *(ChowPoly(ring, z) for z in quotient[low:])])
     object.__setattr__(hyp, "_alpha", alpha)
     return alpha
 

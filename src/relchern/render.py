@@ -109,6 +109,11 @@ def _latex_power(name, exp):
     match = _SUBSCRIPT_RE.match(name)
     if match:
         name = f"{match.group(1)}_{{{match.group(2)}}}"
+    elif name.count("_") > 1:
+        # one subscript: a_b_c is a_{b\_c}, never the double a_b_c
+        head, _, rest = name.partition("_")
+        rest = rest.replace("_", r"\_")
+        name = f"{head or '{}'}_{{{rest}}}"
     return name if exp == 1 else f"{name}^{{{exp}}}"
 
 

@@ -675,16 +675,30 @@ class ChowPoly:
         """
         if not _is_int(codim) or codim < 0 or codim > self.ring.bound:
             raise GradeError(f"component index {codim} outside [0, {self.ring.bound}]")
-        return (self._pieces or self.components())[codim]
+        piece = (self._pieces or self._graded()).get(codim)
+        return self.ring.zero if piece is None else piece
 
     def components(self):
         """The homogeneous pieces of codimension ``0..bound``, adding up to the
         value."""
+        pieces, zero = self._pieces or self._graded(), self.ring.zero
+        return [pieces.get(k, zero) for k in range(self.ring.bound + 1)]
+
+    def _graded(self):
+        """``{codim: piece}`` for each codimension that has terms, grouped in
+        one pass over the terms on first use and kept: a read of one piece
+        costs nothing per empty codimension, whatever the bound."""
         if self._pieces is None:
-            ring = self.ring
-            self._pieces = [ChowPoly(ring, piece) for piece
-                            in _split(self._terms, ring.bound, ring._mask)]
-        return list(self._pieces)
+            mask, groups = self.ring._mask, {}
+            for key, c in self._terms.items():
+                group = groups.get(key & mask)
+                if group is None:
+                    groups[key & mask] = {key: c}
+                else:
+                    group[key] = c
+            self._pieces = {k: ChowPoly(self.ring, terms)
+                            for k, terms in groups.items()}
+        return self._pieces
 
     def _graded_scale(self, weights):
         """The class whose codimension-``k`` piece is ``weights[k]`` times this

@@ -112,6 +112,10 @@ def reference_latex_power(name, exp):
     match = re.match(r"([A-Za-z]+)_?(\d+)\Z", name)
     if match:
         name = f"{match.group(1)}_{{{match.group(2)}}}"
+    elif re.search(r"_.*_", name):
+        first = name.index("_")
+        name = ((name[:first] or "{}") + "_{"
+                + name[first + 1:].replace("_", "\\_") + "}")
     return name if exp == 1 else f"{name}^{{{exp}}}"
 
 
@@ -139,10 +143,12 @@ def reference_json(cls):
     return [{"codim": k, "terms": pieces[k]} for k in sorted(pieces)]
 
 
-# c12 and x_3 take LaTeX subscripts; L and t reach exponents >= 10
+# c12 and x_3 take LaTeX subscripts; L and t reach exponents >= 10; a_b
+# keeps its bytes, and a_b_c and _u_v take one subscript
 PLAIN = ChowRing([Symbol("L"), Symbol("c2", 2), Symbol("c12", 12),
                   Symbol("x_3")], 24)
-TALL = ChowRing(PLAIN.symbols + (Symbol("t"),), 36)
+TALL = ChowRing(PLAIN.symbols + (Symbol("t"), Symbol("a_b"), Symbol("a_b_c"),
+                                 Symbol("_u_v")), 36)
 BIG = 7 ** 6000  # 5071 digits
 
 
@@ -184,3 +190,16 @@ def test_renderers_match_the_reference(default_limit, cls):
     assert to_latex(cls) == reference_latex(cls)
     assert class_to_json(cls) == reference_json(cls)
     assert sys.get_int_max_str_digits() == default_limit
+
+
+def test_latex_names_with_two_or_more_underscores_take_one_subscript():
+    ring = ChowRing([Symbol(name) for name in
+                     ("a_b", "a_b_c", "x__y", "p_q_r_s", "_u_v", "c_2")], 4)
+    latex = {s.name: to_latex(ring.sym(s.name) ** 2) for s in ring.symbols}
+    assert latex == {"a_b": "a_b^{2}", "a_b_c": r"a_{b\_c}^{2}",
+                     "x__y": r"x_{\_y}^{2}", "p_q_r_s": r"p_{q\_r\_s}^{2}",
+                     "_u_v": r"{}_{u\_v}^{2}", "c_2": "c_{2}^{2}"}
+    assert to_latex(3 * ring.sym("a_b_c") * ring.sym("_u_v")) == \
+        r"3 {}_{u\_v} a_{b\_c}"
+    # the text and JSON renderings keep the name as it is
+    assert to_text(ring.sym("a_b_c") ** 2) == "a_b_c^2"

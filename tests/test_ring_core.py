@@ -11,6 +11,7 @@ values finished in place, constant operands in one pass, a unit's tail
 split once per quotient and ``c(E)`` kept on its bundle."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -395,6 +396,31 @@ def test_views_repeat_and_hand_out_private_lists(v, piece_first):
         handed_out.reverse()
         handed_out.append(None)
     assert views(v) == first == views(fresh)
+
+
+def test_one_piece_at_a_large_bound_is_read_in_proportion_to_its_terms():
+    # component() groups the terms by codimension once and keeps the groups,
+    # so it allocates nothing per empty codimension, whatever the bound
+    ring = ChowRing([Symbol("L"), Symbol("c2", 2)], 10 ** 6)
+    L, c2 = ring.sym("L"), ring.sym("c2")
+    top = L ** (10 ** 6 - 1)
+    v = 2 * L + 3 * c2 - 5 * L ** 2 + 7 * top
+    tracemalloc.start()
+    try:
+        pieces = [v.component(k) for k in (0, 1, 2, 10 ** 6 - 1, 10 ** 6)]
+        again = v.component(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pieces == [0, 2 * L, 3 * c2 - 5 * L ** 2, 7 * top, 0]
+    assert again is pieces[2]
+    assert peak < 64_000
+    # components() still lists every codimension, empty ones as zero
+    listed = v.components()
+    assert len(listed) == 10 ** 6 + 1
+    assert {k: piece for k, piece in enumerate(listed) if piece} == {
+        1: pieces[1], 2: pieces[2], 10 ** 6 - 1: pieces[3]}
+    assert sum(pieces, ring.zero) == v
 
 
 def rational_json(q):
