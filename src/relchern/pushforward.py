@@ -125,20 +125,6 @@ class BundleSpec(_Frozen, fields=("roots",)):
         return f"BundleSpec[{body}]"
 
 
-def _product(bundle, left, right):
-    """Term maps of the ``H**k`` coefficients of ``left * right`` on the
-    projectivization; ``left`` lists term maps, ``right`` base classes."""
-    bound, dmax = bundle.ring.bound, bundle.ambient_dim
-    # widths m and n reach only the slots H^0 .. H^(m + n - 2)
-    out = [{} for _ in range(min(dmax + 1, len(left) + len(right) - 1))]
-    right = [b._degree_table() for b in right]
-    for i, a in enumerate(left):
-        for j, b in enumerate(right[:dmax + 1 - i]):
-            # the H^(i+j) coefficient keeps codimension <= dmax - i - j
-            _mul_into(out[i + j], a, b, min(bound, dmax - i - j))
-    return out
-
-
 class ProjClass:
     """A class on the projectivization: a polynomial in ``H`` whose
     coefficients live in the base ring.
@@ -168,31 +154,6 @@ class ProjClass:
         out = object.__new__(cls)
         out._store(bundle, coeffs)
         return out
-
-    @classmethod
-    def _quotient(cls, bundle, num, den):
-        # num / den: num lists the term maps of the H^n coefficients, den the
-        # classes u_k of the base ring, with u_0 of constant term 1.  The
-        # quotient z is found coefficient by coefficient in H: z_n = (a_n -
-        # sum_(k >= 1) u_k z_(n-k)) / u_0, truncated at the codimension H^n
-        # leaves room for; one divider by u_0, checked to be a unit, serves
-        # every limit and takes a constant u_1 alone (1 + y) in the same pass
-        ring = bundle.ring
-        dmax = bundle.ambient_dim
-        divide = _unit_divider(den[0])
-        limits = [min(ring.bound, dmax - n) for n in range(dmax + 1)]
-        if len(den) < 3 and all(u.is_constant() for u in den[1:]):
-            quotient = divide(num, limits, -den[1].constant_term() if den[1:] else 0)
-        else:
-            negated, quotient = _negated_table(den), []
-            for n, limit in enumerate(limits):
-                z = dict(num[n]) if n < len(num) else {}
-                for k, u in negated:
-                    if k > n:
-                        break
-                    _mul_into(z, quotient[n - k], u, limit)
-                quotient += divide([z], [limit])
-        return cls._normalized(bundle, [ChowPoly(ring, z) for z in quotient])
 
     @classmethod
     def constant(cls, bundle, value):
@@ -251,9 +212,16 @@ class ProjClass:
 
     @_coerced
     def __mul__(self, other):
-        out = _product(self.bundle, [a._terms for a in self.coeffs], other.coeffs)
-        return ProjClass._normalized(self.bundle,
-                                     [self.bundle.ring._finish(t) for t in out])
+        ring, dmax = self.bundle.ring, self.bundle.ambient_dim
+        # widths m and n reach only the slots H^0 .. H^(m + n - 2)
+        width = min(dmax + 1, len(self.coeffs) + len(other.coeffs) - 1)
+        out = [{} for _ in range(width)]
+        right = [b._degree_table() for b in other.coeffs]
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(right[:dmax + 1 - i]):
+                # the H^(i+j) coefficient keeps codimension <= dmax - i - j
+                _mul_into(out[i + j], a._terms, b, min(ring.bound, dmax - i - j))
+        return ProjClass._normalized(self.bundle, [ring._finish(t) for t in out])
 
     __rmul__ = __mul__
 
@@ -268,12 +236,26 @@ class ProjClass:
     @_coerced
     def __truediv__(self, other):
         """Division by a nonzero rational constant, or exact division by a
-        class with constant term 1, a unit of the truncated ring
-        (:meth:`_quotient`)."""
+        class with constant term 1, a unit of the truncated ring.
+
+        The quotient ``z`` is found coefficient by coefficient in ``H``:
+        ``z_n = (a_n - sum_(k >= 1) u_k z_(n-k)) / u_0``, truncated at the
+        codimension ``H**n`` leaves room for; one divider by ``u_0``,
+        checked to be a unit, serves every ``n``."""
         if len(other.coeffs) <= 1 and other.coeff(0).is_constant():
             return self * Fraction(1, _nonzero_rational(other.constant_term()))
-        return ProjClass._quotient(self.bundle, [a._terms for a in self.coeffs],
-                                   other.coeffs)
+        ring, dmax = self.bundle.ring, self.bundle.ambient_dim
+        divide = _unit_divider(other.coeffs[0])
+        negated, quotient = _negated_table(other.coeffs), []
+        for n in range(dmax + 1):
+            limit = min(ring.bound, dmax - n)
+            z = dict(self.coeffs[n]._terms) if n < len(self.coeffs) else {}
+            for k, u in negated:
+                if k > n:
+                    break
+                _mul_into(z, quotient[n - k], u, limit)
+            quotient += divide([z], [limit])
+        return ProjClass._normalized(self.bundle, [ChowPoly(ring, z) for z in quotient])
 
     @_coerced
     def __rtruediv__(self, other):

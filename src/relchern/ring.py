@@ -295,11 +295,13 @@ class ChowRing(_Frozen, fields=("symbols", "bound")):
     def _flat_terms(self, terms):
         """``[(order, codim, monomial, coeff), ...]`` for the term map
         ``terms``, in its order.  ``order``, the degree times
-        ``2**(bits * fields)`` plus the rank (:meth:`_decode`), is unique to
-        the key and sorts in canonical order.  The walk goes from the top
-        nonzero field down: no field's top bit is set, so that field is
-        ``key.bit_length() // bits``.  Equal factors are one tuple, as
-        values keep their decoded terms."""
+        ``2**(bits * fields)`` plus the rank, is unique to the key and sorts
+        in canonical order: total degree first, then exponents in field
+        order, larger first.  The rank is
+        ``-sum(exp << bits * (fields - i))`` over the variables' fields ``i``
+        from 1.  The walk goes from the top nonzero field down: no field's
+        top bit is set, so that field is ``key.bit_length() // bits``.
+        Equal factors are one tuple, as values keep their decoded terms."""
         fields, factors = self._walk or self._decoders()
         bits, mask = self._bits, self._mask
         out = []
@@ -318,16 +320,6 @@ class ChowRing(_Frozen, fields=("symbols", "bound")):
             mono.reverse()
             append((order, codim, tuple(mono), c))
         return out
-
-    def _decode(self, key):
-        """``(rank, ((name, exp), ...))`` of a packed key.  Ranks sort keys in
-        canonical order: total degree, then exponents in field order, larger
-        first; a rank is ``(degree, -sum(exp << bits * (fields - i)))`` over
-        the variables' fields ``i`` from 1."""
-        ((order, _, mono, _),) = self._flat_terms({key: 0})
-        top = self._bits * len(self._shift)
-        degree = -(-order >> top)
-        return (degree, order - (degree << top)), mono
 
     def _finish(self, terms):
         """The value of the term map ``terms``, taking ownership of the

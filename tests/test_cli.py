@@ -148,6 +148,12 @@ def test_push_matches_qclass(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["push", "--config", cfg, "--class", expr])
     assert code == 0
     assert out.strip() == "12*L - 72*L^2 + 432*L^3"
+    # at --trunc 40 the projectivization is 42-dimensional, so the products
+    # and the division are cut by ambient_dim - n, not only by the base bound
+    wide = ["--config", cfg, "--trunc", "40"]
+    code, out, _ = run_cli(capsys, ["push", *wide, "--class", expr])
+    assert code == 0
+    assert (0, out, "") == run_cli(capsys, ["qclass", *wide])
 
 
 def test_a_fano_job_computes_in_c1_from_the_start(tmp_path, capsys,

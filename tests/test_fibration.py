@@ -18,7 +18,7 @@ from relchern import (BundleSpec, ChowRing, ContextError, FermatFamily,
                       pushforward_closed_form, pushforward_series, q_class,
                       q_class_display, q_rational, relative_chern_class,
                       smooth_hypersurface_euler, specialize, svw_components)
-from relchern import fibration, pushforward
+from relchern import fibration
 from relchern.ring import _mul_into, _negated_table
 from tests import golden_cases
 from tests.randgen import (DIVISORS, random_base, random_bundle, random_form,
@@ -115,13 +115,13 @@ def test_the_q_routes_run_no_generic_projclass_product(monkeypatch):
 
 def test_alpha_class_and_q_rational_run_one_product_pass(monkeypatch):
     # alpha is C - C/(1 + y) from the cached c(E): one unit division and no
-    # product by y, nor a ProjClass quotient; q_rational builds D alone and
-    # scales its graded pieces into N: one product pass, none per root
+    # ProjClass product by y, nor a ProjClass quotient; q_rational builds D
+    # alone and scales its graded pieces into N: one product pass, none per root
     base = FormalBase(4, ("L", "M"))
     L, M = base.ring.sym("L"), base.ring.sym("M")
     hyp = HypersurfaceSpec.from_roots(3, 2 * L + M,
                                       [L, (M, 2), L + M, (3 * L, 3)])
-    calls = {"_product": 0, "_quotient": 0, "_unit_divider": 0,
+    calls = {"__mul__": 0, "__truediv__": 0, "_unit_divider": 0,
              "divide": 0, "_linear_product": 0}
 
     def counting(name, inner):
@@ -131,18 +131,17 @@ def test_alpha_class_and_q_rational_run_one_product_pass(monkeypatch):
             return counting("divide", result) if name == "_unit_divider" else result
         return wrapper
 
-    monkeypatch.setattr(pushforward, "_product",
-                        counting("_product", pushforward._product))
-    monkeypatch.setattr(ProjClass, "_quotient", classmethod(
-        counting("_quotient", ProjClass._quotient.__func__)))
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(ProjClass, name, counting(
+            name.replace("__r", "__"), getattr(ProjClass, name)))
     for name in ("_unit_divider", "_linear_product"):
         monkeypatch.setattr(fibration, name,
                             counting(name, getattr(fibration, name)))
     alpha_class(hyp)
-    assert calls == {"_product": 0, "_quotient": 0, "_unit_divider": 1,
+    assert calls == {"__mul__": 0, "__truediv__": 0, "_unit_divider": 1,
                      "divide": 1, "_linear_product": 0}
     q_rational(hyp)
-    assert calls == {"_product": 0, "_quotient": 0, "_unit_divider": 1,
+    assert calls == {"__mul__": 0, "__truediv__": 0, "_unit_divider": 1,
                      "divide": 1, "_linear_product": 1}
 
 

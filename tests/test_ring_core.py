@@ -196,7 +196,7 @@ def test_projclass_division_by_a_unit_matches_the_geometric_series(seed):
 
 
 def reference_quotient(bundle, num, den):
-    """``ProjClass._quotient`` by the loop the one-pass division replaced:
+    """``ProjClass`` division by the loop the one-pass division replaced:
     each ``z_n`` copies ``a_n``, adds ``-u_k z_(n-k)`` through ``_mul_into``
     and is divided by ``u_0``, here by the geometric series, up to the
     codimension ``H**n`` leaves room for."""
@@ -244,7 +244,9 @@ def quotient_inputs(draw):
 @given(quotient_inputs())
 def test_one_pass_projclass_division_matches_the_coefficient_loop(case):
     bundle, num, den = case
-    quotient = ProjClass._quotient(bundle, num, den)
+    ring = bundle.ring
+    quotient = (ProjClass(bundle, [ChowPoly(ring, a) for a in num])
+                / ProjClass(bundle, den))
     assert quotient == reference_quotient(bundle, num, den)
     for c in quotient.coeffs:
         assert_exact(c)
@@ -471,7 +473,11 @@ def reference_decode(ring, key):
        st.integers(0, WIDE._mask))
 def test_decode_visits_the_nonzero_fields_as_a_full_walk_would(exponents, field0):
     key = field0 + sum(e << WIDE._shift[name] for name, e in exponents.items())
-    assert WIDE._decode(key) == reference_decode(WIDE, key)
+    ((order, codim, mono, _),) = WIDE._flat_terms({key: 0})
+    (degree, rank), expected = reference_decode(WIDE, key)
+    assert order == (degree << WIDE._bits * len(WIDE._shift)) + rank
+    assert codim == field0
+    assert mono == expected
 
 
 # -- products on term maps -------------------------------------------------
