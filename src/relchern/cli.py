@@ -38,7 +38,7 @@ from .expressions import evaluate, parse_class_expr
 from .fibration import (FermatFamily, HypersurfaceSpec, UnsupportedDegreeError,
                         euler_characteristic, q_rational, relative_chern_class,
                         smooth_hypersurface_euler, svw_components)
-from .pushforward import ProjClass, _twist, pushforward_series
+from .pushforward import ProjClass, normalize_twist, pushforward_series
 from .render import all_digits, class_to_json, to_latex, to_text
 from .ring import ChowError, ChowPoly, _is_int, expand_ratio
 
@@ -237,10 +237,10 @@ def _run(cfg):
         _require(isinstance(cfg["class"], str) and cfg["class"].strip(),
                  "push needs a class expression (--class or config 'class')")
         # the expression's H is the untwisted hyperplane class, H - M_0 here
-        bundle, m0 = _twist(_build_roots(cfg, base))
+        bundle, h = normalize_twist(_build_roots(cfg, base))
         env = {name: ProjClass.from_base(bundle, cls)
                for name, cls in _names(base).items()}
-        env["H"] = ProjClass.hyperplane(bundle) - m0
+        env["H"] = h
         tree = parse_class_expr(cfg["class"])
         value = evaluate(tree, env, lambda v: ProjClass.constant(bundle, v))
         return {"class": pushforward_series(value)}

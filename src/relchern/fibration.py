@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 
 from .bases import FormalBase, ModeError, ProjectiveSpaceBase, _divisor_symbol
-from .pushforward import BundleSpec, ProjClass, _twist, pushforward_series
+from .pushforward import BundleSpec, ProjClass, normalize_twist, pushforward_series
 from .render import _text_strings, format_terms
 from .ring import (ChowError, ChowPoly, ContextError, _Frozen, _is_int,
                    _linear_product, _unit_divider, expand_ratio)
@@ -78,10 +78,10 @@ class HypersurfaceSpec(_Frozen, fields=("degree", "beta", "bundle")):
     def from_roots(cls, degree, beta, roots):
         """Build from an untwisted root list; ``beta`` is adjusted by the
         twist that makes the first root vanish."""
-        # beta + degree*H, with H read as H - M_0, is beta - degree*M_0 + degree*H
+        # beta + degree*H for the untwisted H = h: degree*h.coeff(0) joins beta
         _check_degree(degree)
-        bundle, m0 = _twist(roots)
-        return cls(degree, bundle.ring.convert(beta) - degree * m0, bundle)
+        bundle, h = normalize_twist(roots)
+        return cls(degree, bundle.ring.convert(beta) + degree * h.coeff(0), bundle)
 
     def divisor_class(self):
         H = ProjClass.hyperplane(self.bundle)
@@ -157,12 +157,12 @@ def q_rational(hyp):
     rank = hyp.bundle.rank
     if d == 0:
         return rank * beta, ring.one + beta
-    factors = []  # 1, the term map of beta - d*M_j, and m_j
+    factors = []  # the term map of beta - d*M_j, and m_j
     for form, mult in hyp.bundle.roots:
         linear = dict(beta._terms)
         for key, c in form._terms.items():
             linear[key] = linear.get(key, 0) - d * c
-        factors.append((1, {key: c for key, c in linear.items() if c}, mult))
+        factors.append(({key: c for key, c in linear.items() if c}, mult))
     den = ring._finish(_linear_product(ring, factors))
     weights = [rank + ((1 - d) ** (rank - k) - 1) // d for k in range(rank + 1)]
     return den._graded_scale(weights), den

@@ -1,9 +1,9 @@
 """Proper pushforward of classes from a projective bundle to its base.
 
-A rank-``r`` bundle is recorded through its Chern roots, twisted so that one
-root is zero (:func:`normalize_twist` arranges this); classes on the bundle's
-projectivization are polynomials in the hyperplane class ``H`` with base
-coefficients (:class:`ProjClass`).
+A rank-``r`` bundle is recorded through its Chern roots, twisted by
+:func:`normalize_twist` so that the first root ``M_0`` is zero; classes on the
+bundle's projectivization are polynomials in the hyperplane class ``H`` with
+base coefficients (:class:`ProjClass`), and the untwisted ``H`` is ``H - M_0``.
 
 Three mathematically independent evaluations of the pushforward are
 provided.  The series route applies the projection formula monomial by
@@ -88,8 +88,8 @@ class BundleSpec(_Frozen, fields=("roots",)):
                 merged.append((form, mult))
         zero = [e for e in merged if e[0].is_zero()]
         if not zero:
-            raise BundleError("no zero Chern root; twist away the first root "
-                              "with normalize_twist before building the bundle")
+            raise BundleError("no zero Chern root; normalize_twist twists the "
+                              "first root to zero and builds the bundle")
         nonzero = sorted((e for e in merged if not e[0].is_zero()),
                          key=lambda e: str(e[0]))
         self._set(tuple(zero + nonzero), ring, None)
@@ -117,7 +117,7 @@ class BundleSpec(_Frozen, fields=("roots",)):
     def total_chern(self):
         if self._chern is None:
             object.__setattr__(self, "_chern", self.ring._finish(_linear_product(
-                self.ring, [(1, form._terms, mult) for form, mult in self.roots])))
+                self.ring, [(form._terms, mult) for form, mult in self.roots])))
         return self._chern
 
     def __repr__(self):
@@ -270,14 +270,6 @@ class ProjClass:
             return NotImplemented
         return self.bundle == other.bundle and self.coeffs == other.coeffs
 
-    def shift_h(self, delta):
-        """The same class written in ``H + delta`` powers: H -> H + delta."""
-        x = ProjClass.hyperplane(self.bundle) + ProjClass.from_base(self.bundle, delta)
-        out = ProjClass.constant(self.bundle, 0)
-        for a in reversed(self.coeffs):
-            out = out * x + a
-        return out
-
     def reduce(self):
         """The same class in the Chow ring of the projectivization, written
         with at most ``rank`` coefficients.
@@ -317,26 +309,26 @@ class ProjClass:
         return f"ProjClass({self})"
 
 
-def _twist(roots):
-    """The bundle of the roots ``M_i - M_0``, and the first root ``M_0``."""
-    entries, _ = _root_entries(roots)
-    m0 = entries[0][0]
-    return BundleSpec([(form - m0, mult) for form, mult in entries]), m0
-
-
 def normalize_twist(roots, cls=None):
     """Twist so the first listed root becomes zero.
 
-    Every root ``M_i`` is replaced by ``M_i - M_0`` and, when a class is
-    given, ``H`` is rewritten as ``H - M_0`` in it; pushforwards are
-    invariant under this change of presentation.  Returns the normalized
-    ``BundleSpec`` together with the transformed class (or ``None``).
+    Every root ``M_i`` becomes ``M_i - M_0``; pushforwards are invariant
+    under this change of presentation.  Returns the normalized
+    ``BundleSpec`` with the untwisted hyperplane class ``h = H - M_0`` or,
+    given a class ``sum a_k H**k`` (a ``ProjClass`` or its coefficients),
+    with ``sum a_k h**k``, evaluated by Horner's rule.
     """
-    bundle, m0 = _twist(roots)
+    entries, ring = _root_entries(roots)
+    m0 = entries[0][0]
+    bundle = BundleSpec([(form - m0, mult) for form, mult in entries])
+    h = ProjClass._normalized(bundle, [-m0, ring.one])
     if cls is None:
-        return bundle, None
+        return bundle, h
+    out = ProjClass.constant(bundle, 0)
     coeffs = cls.coeffs if isinstance(cls, ProjClass) else cls
-    return bundle, ProjClass(bundle, coeffs).shift_h(-m0)
+    for a in reversed(ProjClass(bundle, coeffs).coeffs):
+        out = out * h + a
+    return bundle, out
 
 
 # -- series route -------------------------------------------------------

@@ -398,15 +398,15 @@ def _mul_into(out, left, right, limit):
 
 
 def _linear_product(ring, factors):
-    """The term map of ``prod (c + form)**mult`` over the ``(c, form, mult)``
-    in ``factors``: ``c`` a rational, ``form`` the term map of a class of
-    ``ring`` with no constant term.  Each factor multiplies the running map
-    once per unit of ``mult`` through :func:`_mul_into`, a constant factor
-    in one pass, so no term above the bound is formed and no value is built.
-    ``ring._finish`` drops the map's zeros and converts integral ``Fraction``s."""
+    """The term map of ``prod (1 + form)**mult`` over the ``(form, mult)``
+    in ``factors``: ``form`` the term map of a class of ``ring`` with no
+    constant term.  Each factor multiplies the running map once per unit of
+    ``mult`` through :func:`_mul_into`, so no term above the bound is formed
+    and no value is built.  ``ring._finish`` drops the map's zeros and
+    converts integral ``Fraction``s."""
     out = {0: 1}
-    for c, form, mult in factors:
-        right = _by_degree({0: c, **form} if c else form, ring._mask)
+    for form, mult in factors:
+        right = _by_degree({0: 1, **form}, ring._mask)
         for _ in range(mult):
             product = {}
             _mul_into(product, out, right, ring.bound)

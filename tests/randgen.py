@@ -61,6 +61,16 @@ def random_proj_class(rng, bundle):
     return ProjClass(bundle, [random_poly(rng, bundle.ring) for _ in range(width)])
 
 
+def shifted(cls, delta):
+    """``cls`` with ``H`` read as ``H + delta``, by Horner's rule in generic
+    ``ProjClass`` arithmetic: a reference for the twist."""
+    x = ProjClass.hyperplane(cls.bundle) + ProjClass.from_base(cls.bundle, delta)
+    out = ProjClass.constant(cls.bundle, 0)
+    for a in reversed(cls.coeffs):
+        out = out * x + a
+    return out
+
+
 def random_setup(rng, max_rank=5, max_dim=4):
     base = random_base(rng, max_dim)
     bundle = random_bundle(rng, base, max_rank)

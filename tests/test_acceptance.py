@@ -19,7 +19,7 @@ from relchern import (BundleSpec, FermatFamily, FormalBase, HypersurfaceSpec,
 from relchern.cli import main
 from relchern.ring import ChowRing, Symbol
 from tests.randgen import (random_base, random_bundle, random_expr,
-                           random_form, random_proj_class)
+                           random_form, random_proj_class, shifted)
 
 
 @contextmanager
@@ -143,7 +143,7 @@ def test_criterion_8_structural_invariants():
             assert pushforward_series(lifted) == beta * pushforward_series(cls)
             shift = random_form(rng, bundle.ring, nonzero=False)
             moved = [(form + shift, mult) for form, mult in bundle.roots]
-            renorm, back = normalize_twist(moved, cls.shift_h(shift))
+            renorm, back = normalize_twist(moved, shifted(cls, shift))
             assert renorm == bundle
             assert pushforward_series(back) == pushforward_series(cls)
 

@@ -231,12 +231,10 @@ def test_the_cli_runs_no_generic_projclass_product_outside_push(tmp_path,
     expected = [run_cli(capsys, argv) for argv in argvs + [push]]
 
     def refuse(*args):
-        raise AssertionError("a generic ProjClass product or shift ran")
+        raise AssertionError("a generic ProjClass product ran")
 
-    # push evaluates its expression by ProjClass arithmetic, but its H is
-    # twisted without shift_h
-    monkeypatch.setattr(ProjClass, "shift_h", refuse)
-    assert run_cli(capsys, push) == expected[-1]
+    # push evaluates its expression by ProjClass arithmetic; the other
+    # commands run no ProjClass product
     monkeypatch.setattr(ProjClass, "__mul__", refuse)
     monkeypatch.setattr(ProjClass, "__rmul__", refuse)
     assert [run_cli(capsys, argv) for argv in argvs] == expected[:-1]

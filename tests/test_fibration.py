@@ -15,6 +15,7 @@ from relchern import (BundleSpec, ChowRing, ContextError, FermatFamily,
                       ProjectiveSpaceBase, StratumData, Symbol,
                       SymbolError, UnsupportedDegreeError,
                       alpha_class, euler_characteristic, expand_ratio,
+                      normalize_twist,
                       pushforward_closed_form, pushforward_series, q_class,
                       q_class_display, q_rational, relative_chern_class,
                       smooth_hypersurface_euler, specialize, svw_components)
@@ -85,6 +86,28 @@ def test_from_roots_twists_beta():
     assert zero_beta.beta.ring is ring
 
 
+def test_from_roots_reads_its_bundle_and_beta_from_normalize_twist():
+    # d*H + beta, with H read as H - M_0 on the twisted bundle, has the
+    # coefficients (beta - d*M_0, d): from_roots must agree with it
+    rng = random.Random(29)
+    for _ in range(30):
+        ring = random_base(rng).ring
+        first = random_form(rng, ring)
+        pool = [first, random_form(rng, ring, nonzero=False),
+                random_form(rng, ring, nonzero=False)]
+        roots = [(first, rng.randint(1, 2))]
+        roots += [(rng.choice(pool), rng.randint(1, 2))
+                  for _ in range(rng.randint(1, 3))]
+        degree = rng.randint(0, 4)
+        beta = random_form(rng, ring, nonzero=False)
+        hyp = HypersurfaceSpec.from_roots(degree, beta, roots)
+        bundle, cls = normalize_twist(roots, [beta, degree])
+        assert hyp.bundle == bundle
+        assert hyp.beta == cls.coeff(0)
+        assert cls.coeff(1) == degree
+        assert hyp.divisor_class() == cls
+
+
 @pytest.mark.parametrize("degree", [1.5, "a", None, True, -1])
 def test_from_roots_validates_the_degree_first(degree):
     L = FormalBase(3).ring.sym("L")
@@ -102,9 +125,9 @@ def test_the_q_routes_run_no_generic_projclass_product(monkeypatch):
     q, q_reduced = q_class(expected), q_class_display(expected)
 
     def refuse(*args):
-        raise AssertionError("a generic ProjClass product or shift ran")
+        raise AssertionError("a generic ProjClass product ran")
 
-    for name in ("shift_h", "__mul__", "__rmul__"):
+    for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(ProjClass, name, refuse)
     hyp = HypersurfaceSpec.from_roots(3, 9 * L, roots)
     assert hyp == expected

@@ -12,7 +12,7 @@ from relchern import (BundleError, BundleSpec, ChowError, ChowRing,
                       pushforward_closed_form, pushforward_power,
                       pushforward_series)
 from tests.randgen import (random_base, random_bundle, random_form, random_poly,
-                           random_proj_class, random_setup)
+                           random_proj_class, random_setup, shifted)
 
 
 def ring_L(bound):
@@ -114,7 +114,23 @@ def test_normalize_twist_negative_first_root():
     bundle, cls = normalize_twist([-L, L], [ring.one])
     assert bundle.nonzero_roots == ((2 * L, 1),)
     assert cls == ProjClass.constant(bundle, 1)
-    assert normalize_twist([-L, L]) == (bundle, None)
+    assert normalize_twist([-L, L]) == (bundle, ProjClass.hyperplane(bundle) + L)
+
+
+def test_normalize_twist_returns_the_untwisted_hyperplane_class(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a generic ProjClass product ran")
+
+    monkeypatch.setattr(ProjClass, "__mul__", refuse)
+    monkeypatch.setattr(ProjClass, "__rmul__", refuse)
+    ring = ChowRing([Symbol("L"), Symbol("M")], 3)
+    L, M = ring.sym("L"), ring.sym("M")
+    for first, roots in ((L, [L, 2 * L]), (M - L, [(M - L, 2), 3 * L]),
+                         (ring.zero, [ring.zero, L]),
+                         (2 * M, [(2 * M, 1), (2 * M, 1), L - M])):
+        bundle, h = normalize_twist(roots)
+        assert h == ProjClass.hyperplane(bundle) - first
+        assert h.bundle is bundle
 
 
 # -- series route -------------------------------------------------------
@@ -481,7 +497,7 @@ def test_twist_invariance():
         reference = pushforward_series(cls)
         shift = random_form(rng, bundle.ring, nonzero=False)
         shifted_roots = [(form + shift, mult) for form, mult in bundle.roots]
-        renorm, back = normalize_twist(shifted_roots, cls.shift_h(shift))
+        renorm, back = normalize_twist(shifted_roots, shifted(cls, shift))
         assert renorm == bundle
         assert pushforward_series(back) == reference
         assert pushforward_closed_form(back) == reference
