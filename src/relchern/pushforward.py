@@ -67,32 +67,33 @@ def _root_entries(roots):
 class BundleSpec(_Frozen, fields=("roots",)):
     """Chern roots of a vector bundle, normalized so one root is zero.
 
-    Construction merges repeated forms into a single entry with summed
-    multiplicity and orders roots canonically (zero first).  A root list
-    without a zero entry is rejected; apply :func:`normalize_twist` first.
-    The private slot ``_chern`` keeps :meth:`total_chern` once built;
-    equality, ``repr`` and copies ignore it.
+    The roots are checked once (``_root_entries``).  Construction then merges
+    repeated forms into a single entry with summed multiplicity, keyed by
+    their term maps, so no two classes are compared; it orders roots
+    canonically (zero first).  A root list without a zero entry is rejected;
+    apply :func:`normalize_twist` first.  The private slot ``_chern`` keeps
+    :meth:`total_chern` once built; equality, ``repr`` and copies ignore it.
     """
 
     __slots__ = ("roots", "ring", "_chern")
 
     def __init__(self, roots):
-        entries, ring = _root_entries(roots)
-        merged = []
+        self._merge(*_root_entries(roots))
+
+    def _merge(self, entries, ring):
+        # entries checked by _root_entries.  Equal classes of one ring have
+        # equal term maps, as a value stores no zero coefficient
+        merged = {}
         for form, mult in entries:
-            for i, (f0, m0) in enumerate(merged):
-                if f0 == form:
-                    merged[i] = (f0, m0 + mult)
-                    break
-            else:
-                merged.append((form, mult))
-        zero = [e for e in merged if e[0].is_zero()]
-        if not zero:
+            key = frozenset(form._terms.items())
+            seen = merged.get(key)
+            merged[key] = (form, mult) if seen is None else (seen[0], seen[1] + mult)
+        zero = merged.pop(frozenset(), None)
+        if zero is None:
             raise BundleError("no zero Chern root; normalize_twist twists the "
                               "first root to zero and builds the bundle")
-        nonzero = sorted((e for e in merged if not e[0].is_zero()),
-                         key=lambda e: str(e[0]))
-        self._set(tuple(zero + nonzero), ring, None)
+        nonzero = sorted(merged.values(), key=lambda e: str(e[0]))
+        self._set((zero, *nonzero), ring, None)
         if self.rank < 2:
             raise BundleError("bundle rank must be at least 2")
 
@@ -313,14 +314,19 @@ def normalize_twist(roots, cls=None):
     """Twist so the first listed root becomes zero.
 
     Every root ``M_i`` becomes ``M_i - M_0``; pushforwards are invariant
-    under this change of presentation.  Returns the normalized
+    under this change of presentation.  The roots are checked once, and the
+    twisted ones go straight to the bundle, which merges them by term map;
+    a zero ``M_0`` leaves them as they are.  Returns the normalized
     ``BundleSpec`` with the untwisted hyperplane class ``h = H - M_0`` or,
     given a class ``sum a_k H**k`` (a ``ProjClass`` or its coefficients),
     with ``sum a_k h**k``, evaluated by Horner's rule.
     """
     entries, ring = _root_entries(roots)
     m0 = entries[0][0]
-    bundle = BundleSpec([(form - m0, mult) for form, mult in entries])
+    if m0:
+        entries = [(form - m0, mult) for form, mult in entries]
+    bundle = object.__new__(BundleSpec)
+    bundle._merge(entries, ring)
     h = ProjClass._normalized(bundle, [-m0, ring.one])
     if cls is None:
         return bundle, h

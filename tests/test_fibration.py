@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relchern import (BundleSpec, ChowRing, ContextError, FermatFamily,
+from relchern import (BundleSpec, ChowPoly, ChowRing, ContextError, FermatFamily,
                       FormalBase, HypersurfaceSpec, ModeError, ProjClass,
                       ProjectiveSpaceBase, StratumData, Symbol,
                       SymbolError, UnsupportedDegreeError,
@@ -19,7 +19,7 @@ from relchern import (BundleSpec, ChowRing, ContextError, FermatFamily,
                       pushforward_closed_form, pushforward_series, q_class,
                       q_class_display, q_rational, relative_chern_class,
                       smooth_hypersurface_euler, specialize, svw_components)
-from relchern import fibration
+from relchern import fibration, pushforward
 from relchern.ring import _mul_into, _negated_table
 from tests import golden_cases
 from tests.randgen import (DIVISORS, random_base, random_bundle, random_form,
@@ -106,6 +106,35 @@ def test_from_roots_reads_its_bundle_and_beta_from_normalize_twist():
         assert hyp.beta == cls.coeff(0)
         assert cls.coeff(1) == degree
         assert hyp.divisor_class() == cls
+
+
+def test_from_roots_checks_the_roots_once_and_compares_no_classes(monkeypatch):
+    # the roots are checked once, repeats merge by term map with no
+    # ChowPoly ==, and a zero first root leaves the roots unsubtracted
+    ring = FormalBase(4, ("L", "M")).ring
+    L, M = ring.sym("L"), ring.sym("M")
+    twisted = [L, (M, 2), L + M, (M + L, 1), L, (3 * L, 3)]
+    untwisted = [ring.zero, (M, 2), L + M, (M + L, 1), (ring.zero, 1), (3 * L, 3)]
+    cases = [(twisted, len(twisted), HypersurfaceSpec(3, -L + M, BundleSpec(
+                 [ring.zero, (M - L, 2), (M, 2), ring.zero, (2 * L, 3)]))),
+             (untwisted, 0, HypersurfaceSpec(3, 2 * L + M, BundleSpec(untwisted)))]
+    calls = {}
+
+    def counting(name, inner):
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(pushforward, "_root_entries",
+                        counting("_root_entries", pushforward._root_entries))
+    for name in ("__eq__", "__sub__"):
+        monkeypatch.setattr(ChowPoly, name, counting(name, getattr(ChowPoly, name)))
+    for roots, subtractions, expected in cases:
+        calls.update(_root_entries=0, __eq__=0, __sub__=0)
+        hyp = HypersurfaceSpec.from_roots(3, 2 * L + M, roots)
+        assert calls == {"_root_entries": 1, "__eq__": 0, "__sub__": subtractions}
+        assert hyp == expected
 
 
 @pytest.mark.parametrize("degree", [1.5, "a", None, True, -1])

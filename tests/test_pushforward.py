@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from relchern import (BundleError, BundleSpec, ChowError, ChowRing,
+from relchern import (BundleError, BundleSpec, ChowError, ChowPoly, ChowRing,
                       ContextError, ProjClass, Symbol, divided_difference, expand_ratio,
                       inverse_total_chern, normalize_twist,
                       pushforward_closed_form, pushforward_power,
                       pushforward_series)
 from tests.randgen import (random_base, random_bundle, random_form, random_poly,
-                           random_proj_class, random_setup, shifted)
+                           random_proj_class, random_rational, random_setup,
+                           shifted)
 
 
 def ring_L(bound):
@@ -131,6 +132,109 @@ def test_normalize_twist_returns_the_untwisted_hyperplane_class(monkeypatch):
         bundle, h = normalize_twist(roots)
         assert h == ProjClass.hyperplane(bundle) - first
         assert h.bundle is bundle
+
+
+def random_root_list(rng):
+    """A root list of rank at least 2 whose first root may or may not be
+    zero, with zero roots, repeats given as ``(form, m)``, one form built
+    as ``L + M`` and as ``M + L``, and ``Fraction`` coefficients."""
+    ring = random_base(rng).ring
+    L, M = ring.sym("L"), ring.sym("M")
+    half = Fraction(1, 2) * L
+    pool = [ring.zero, L + M, M + L, half, 3 * half, L, half - Fraction(2, 3) * M,
+            random_form(rng, ring) * random_rational(rng), random_form(rng, ring)]
+    roots = [ring.zero] if rng.random() < 0.5 else []
+    for form in rng.choices(pool, k=rng.randint(2, 6)):
+        roots.append(form if rng.random() < 0.4 else (form, rng.randint(1, 3)))
+    return roots
+
+
+def test_normalize_twist_builds_the_bundle_the_constructor_builds():
+    # normalize_twist checks the roots once and hands the twisted entries
+    # to the bundle's builder; BundleSpec of the twisted list, checked
+    # again, must give the same record
+    rng = random.Random(30)
+    twisted_first = merged = 0
+    for _ in range(60):
+        roots = random_root_list(rng)
+        bundle, h = normalize_twist(roots)
+        entries = [(e, 1) if isinstance(e, ChowPoly) else e for e in roots]
+        m0 = entries[0][0]
+        public = BundleSpec([(form - m0, mult) for form, mult in entries])
+        assert bundle.roots == public.roots
+        assert repr(bundle) == repr(public)
+        for record in (bundle, public):  # a record of classes is unhashable
+            with pytest.raises(TypeError, match="^unhashable type: 'ChowPoly'$"):
+                hash(record)
+        assert bundle == public
+        assert bundle.total_chern() == public.total_chern()
+        assert bundle.rank == sum(mult for _, mult in entries)
+        assert h == ProjClass.hyperplane(bundle) - m0
+        twisted_first += not m0.is_zero()
+        merged += len(bundle.roots) < len(roots)
+    # both kinds of first root are drawn, and most lists repeat a root
+    assert 15 < twisted_first < 45 and merged > 30
+
+
+def test_repeated_roots_merge_by_value_whatever_their_term_order():
+    ring = ChowRing([Symbol("L"), Symbol("M")], 3)
+    L, M = ring.sym("L"), ring.sym("M")
+    lm, ml = L + M, M + L
+    assert list(lm._terms) != list(ml._terms)  # equal values, other orders
+    half = Fraction(1, 2) * L
+    bundle = BundleSpec([(lm, 2), ring.zero, ml, (ring.zero, 2), 2 * half])
+    assert bundle.roots == ((ring.zero, 3), (L, 1), (L + M, 3))
+    assert bundle.roots[2][0] is lm  # the first one listed is kept
+    # 3L/2 - L/2 and (L + L/2) - L/2 are L, with the int coefficient 1
+    twisted, _ = normalize_twist([half, 3 * half, L + half, (M + half, 2), half + M])
+    assert twisted.roots == ((ring.zero, 1), (L, 2), (M, 3))
+
+
+BAD_ROOTS = [
+    # (roots as a function of the ring, L and another ring's L, error, message)
+    (lambda zero, L, L2: [], BundleError, "at least one Chern root is required"),
+    (lambda zero, L, L2: [zero, 5], BundleError,
+     "each Chern root is a class or a (class, multiplicity) pair"),
+    (lambda zero, L, L2: [L, (L, 1, 2)], BundleError,
+     "each Chern root is a class or a (class, multiplicity) pair"),
+    (lambda zero, L, L2: [zero, (5, 1)], BundleError,
+     "each Chern root must be a class (use ring.zero for 0)"),
+    (lambda zero, L, L2: [(zero, True), (L, 2)], BundleError,
+     "root multiplicity must be a positive integer"),
+    (lambda zero, L, L2: [L, (L, 0)], BundleError,
+     "root multiplicity must be a positive integer"),
+    (lambda zero, L, L2: [zero, L2], ContextError,
+     "Chern roots belong to different ring contexts"),
+    (lambda zero, L, L2: [zero, L ** 2], BundleError,
+     "Chern root L^2 is not homogeneous of codimension 1"),
+    (lambda zero, L, L2: [1 + L, zero], BundleError,
+     "Chern root 1 + L is not homogeneous of codimension 1"),
+    (lambda zero, L, L2: [zero], BundleError, "bundle rank must be at least 2"),
+]
+
+
+@pytest.mark.parametrize("make, error, message", BAD_ROOTS)
+def test_bad_roots_raise_one_message_through_both_entry_points(make, error, message):
+    ring = ring_L(2)
+    roots = make(ring.zero, ring.sym("L"), ring_L(3).sym("L"))
+    for build in (BundleSpec, normalize_twist):
+        with pytest.raises(error) as caught:
+            build(roots)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
+def test_a_list_without_a_zero_root_is_refused_only_by_the_constructor():
+    L = ring_L(2).sym("L")
+    for roots in ([L], [L, (2 * L, 2)]):
+        with pytest.raises(BundleError) as caught:
+            BundleSpec(roots)
+        assert str(caught.value) == ("no zero Chern root; normalize_twist twists "
+                                     "the first root to zero and builds the bundle")
+    with pytest.raises(BundleError) as caught:
+        normalize_twist([L])
+    assert str(caught.value) == "bundle rank must be at least 2"
+    assert normalize_twist([L, (2 * L, 2)])[0].roots == ((L - L, 1), (L, 2))
 
 
 # -- series route -------------------------------------------------------
