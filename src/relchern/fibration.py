@@ -78,12 +78,10 @@ class HypersurfaceSpec(_Frozen, fields=("degree", "beta", "bundle")):
     def from_roots(cls, degree, beta, roots):
         """Build from an untwisted root list; ``beta`` is adjusted by the
         twist that makes the first root vanish."""
-        # beta + degree*H for the untwisted H = h: degree*h.coeff(0) joins
-        # beta, unless the first root is zero already
+        # beta + degree*H for the untwisted H = h: degree*h.coeff(0) joins beta
         _check_degree(degree)
         bundle, h = normalize_twist(roots)
-        beta, m0 = bundle.ring.convert(beta), h.coeff(0)
-        return cls(degree, beta + degree * m0 if m0 else beta, bundle)
+        return cls(degree, bundle.ring.convert(beta) + degree * h.coeff(0), bundle)
 
     def divisor_class(self):
         H = ProjClass.hyperplane(self.bundle)
@@ -106,19 +104,19 @@ def alpha_class(hyp):
     (no route changes a class it is given).  By the relative Euler sequence
     ``C = sum_i c_i(E) (1 + H)^(r-i)``, so the ``H^k`` coefficient of ``C``
     scales the graded pieces of :meth:`BundleSpec.total_chern`:
-    ``sum_i binom(r-i, k) c_i(E)``, and one pass over ``c(E)`` fills all
-    ``r + 1`` of them, negated (``ChowPoly._graded_scales``).  As
-    ``y / (1 + y) = 1 - 1 / (1 + y)``, the class is ``C - C / (1 + y)``:
-    ``-C`` is divided by ``1 + y`` in one pass over the powers of ``H``
-    (:func:`~relchern.ring._divide_unit`), and ``C`` is added back into the
-    ``H^0 .. H^r`` coefficients; no product by ``y`` runs.
+    ``sum_i binom(r-i, k) c_i(E)``.  As ``y / (1 + y) = 1 - 1 / (1 + y)``,
+    the class is ``C - C / (1 + y)``: ``-C`` is divided by ``1 + y`` in one
+    pass over the powers of ``H`` (:func:`~relchern.ring._divide_unit`), and
+    ``C`` is added back into the ``H^0 .. H^r`` coefficients; no product by
+    ``y`` runs.
     """
     if hyp._alpha is not None:
         return hyp._alpha
     bundle, ring, beta = hyp.bundle, hyp.bundle.ring, hyp.beta
     chern, r, dmax = bundle.total_chern(), bundle.rank, bundle.ambient_dim
-    negated = chern._graded_scales([[-math.comb(r - i, k) for i in range(r - k + 1)]
-                                    for k in range(min(r, dmax) + 1)])
+    negated = [chern._graded_scale([-math.comb(r - i, k)
+                                    for i in range(r - k + 1)])._terms
+               for k in range(min(r, dmax) + 1)]
     # H^n keeps codimension <= dmax - n; by 1 + y = 1 + beta + d*H, the
     # H^n coefficient of -C/(1 + y) is (-C_n - d*z_(n-1)) / (1 + beta)
     limits = [min(ring.bound, dmax - n) for n in range(dmax + 1)]

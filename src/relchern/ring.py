@@ -700,23 +700,6 @@ class ChowPoly:
                                   for key, c in self._terms.items()
                                   if key & mask < top})
 
-    def _graded_scales(self, rows):
-        """The term maps of :meth:`_graded_scale` of each weight row in
-        ``rows``, finished, all filled in one pass over the terms; no value
-        is built for any of them."""
-        mask, maps, by_degree = self.ring._mask, [{} for _ in rows], {}
-        for terms, weights in zip(maps, rows):
-            for k, w in enumerate(weights):
-                if w:
-                    by_degree.setdefault(k, []).append((terms, w))
-        for key, c in self._terms.items():
-            for terms, w in by_degree.get(key & mask, ()):
-                # c and w are nonzero; only an integral Fraction needs finishing
-                scaled = c * w
-                terms[key] = (scaled.numerator if scaled.__class__ is Fraction
-                              and scaled.denominator == 1 else scaled)
-        return maps
-
     def truncate(self, degree):
         """Drop all terms of codimension above ``degree``."""
         if degree >= self.ring.bound:

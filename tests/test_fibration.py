@@ -110,7 +110,7 @@ def test_from_roots_reads_its_bundle_and_beta_from_normalize_twist():
 
 def test_from_roots_checks_the_roots_once_and_compares_no_classes(monkeypatch):
     # the roots are checked once, repeats merge by term map with no
-    # ChowPoly ==, and a zero first root leaves the roots unsubtracted
+    # ChowPoly ==, and a zero first root is subtracted from no root
     ring = FormalBase(4, ("L", "M")).ring
     L, M = ring.sym("L"), ring.sym("M")
     twisted = [L, (M, 2), L + M, (M + L, 1), L, (3 * L, 3)]

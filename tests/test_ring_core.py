@@ -10,7 +10,6 @@ maps, the graded scaling that builds alpha's relative Chern class from
 values finished in place, constant operands in one pass, a unit's tail
 split once per quotient and ``c(E)`` kept on its bundle."""
 
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -562,50 +561,6 @@ def test_graded_scale_weights_each_piece(p, weights):
     scaled = p._graded_scale(weights)
     assert scaled == expected
     assert_exact(scaled)
-
-
-WEIGHTS = st.sampled_from([0, 1, -3, Fraction(1, 2), Fraction(4, 2), Fraction(-2, 3)])
-
-
-@settings(max_examples=100, deadline=None)
-@given(xy_polys(), st.lists(st.lists(WEIGHTS, max_size=7), max_size=5))
-def test_graded_scales_fills_every_row_in_one_pass(p, rows):
-    # the rows share one table of weights by degree; each must come out as
-    # if it were scaled alone, and as its weighted sum of graded pieces
-    maps = p._graded_scales(rows)
-    assert len(maps) == len(rows)
-    for terms, weights in zip(maps, rows):
-        assert terms == p._graded_scale(weights)._terms
-        expected = sum((w * p.component(k)
-                        for k, w in enumerate(weights[:XY.bound + 1])), XY.zero)
-        assert terms == expected._terms
-        assert_exact(ChowPoly(XY, terms))
-
-
-def test_graded_scales_reads_the_terms_once():
-    # every row of alpha's -C at once: a term of degree i lands in the rows
-    # k <= r - i, and a term map of the class is walked once, not per row
-    L, c2 = RING.sym("L"), RING.sym("c2")
-    c = Fraction(1, 2) + Fraction(3, 2) * L + 3 * c2
-    r = 3
-    rows = [[-math.comb(r - i, k) for i in range(r - k + 1)] for k in range(r + 1)]
-    reads = []
-
-    class Counted(dict):
-        def items(self):
-            reads.append(1)
-            return super().items()
-
-    p = ChowPoly(RING, Counted(c._terms))
-    maps = p._graded_scales(rows)
-    assert len(reads) == 1
-    assert [ChowPoly(RING, m) for m in maps] == [
-        Fraction(-1, 2) - Fraction(3, 2) * L - 3 * c2,
-        Fraction(-3, 2) - 3 * L - 3 * c2,  # 3/2 * -2 is the int -3
-        Fraction(-3, 2) - Fraction(3, 2) * L,
-        Fraction(-1, 2)]
-    for terms in maps:
-        assert_exact(ChowPoly(RING, terms))
 
 
 # The formulas that built c(E), Q = N/D and the series push from ChowPoly
