@@ -78,9 +78,6 @@ class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
             object.__setattr__(self, "_chern", self.ring._from_monomials(terms))
         return self._chern
 
-    def divisor(self, name=None):
-        return self.ring.sym(name if name is not None else self.divisors[0])
-
     def bindings(self):
         """``{name: class}`` for the divisor this base reads as another
         class: the first divisor is ``c1`` when ``fano`` is set.  A point

@@ -170,9 +170,10 @@ def _names(base):
             **base.bindings()}
 
 
-def _form(mapping, base):
+def _form(mapping, base, names):
+    """The linear form ``mapping``, each name read through ``names``, the
+    job's :func:`_names` table."""
     _require(isinstance(mapping, dict), "a linear form must be an object")
-    names = _names(base)
     out = base.ring.zero
     for name, coeff in mapping.items():
         coeff = _as_int(coeff, f"coefficient of {name}")
@@ -185,7 +186,7 @@ def _form(mapping, base):
     return out
 
 
-def _build_roots(cfg, base):
+def _build_roots(cfg, base, names):
     desc = cfg["bundle"]
     _require(isinstance(desc, dict) and isinstance(desc.get("roots"), list)
              and desc["roots"], "config key 'bundle' needs a nonempty 'roots' list")
@@ -194,16 +195,16 @@ def _build_roots(cfg, base):
         _require(isinstance(item, dict) and "form" in item,
                  "each root is an object with a 'form'")
         mult = _as_int(item.get("mult", 1), "root multiplicity", 1)
-        entries.append((_form(item["form"], base), mult))
+        entries.append((_form(item["form"], base, names), mult))
     return entries
 
 
-def _build_hypersurface(cfg, base):
-    entries = _build_roots(cfg, base)
+def _build_hypersurface(cfg, base, names):
+    entries = _build_roots(cfg, base, names)
     desc = cfg["hypersurface"]
     _require(isinstance(desc, dict), "config key 'hypersurface' must be an object")
     degree = _as_int(desc.get("degree"), "hypersurface degree", 0)
-    beta = _form(desc.get("beta", {}), base)
+    beta = _form(desc.get("beta", {}), base, names)
     return HypersurfaceSpec.from_roots(degree, beta, entries)
 
 
@@ -232,20 +233,21 @@ def _run(cfg):
     only the requested format is ever built."""
     command = cfg["command"]
     base = _build_base(cfg)
+    names = _names(base)
 
     if command == "push":
         _require(isinstance(cfg["class"], str) and cfg["class"].strip(),
                  "push needs a class expression (--class or config 'class')")
         # the expression's H is the untwisted hyperplane class, H - M_0 here
-        bundle, h = normalize_twist(_build_roots(cfg, base))
+        bundle, h = normalize_twist(_build_roots(cfg, base, names))
         env = {name: ProjClass.from_base(bundle, cls)
-               for name, cls in _names(base).items()}
+               for name, cls in names.items()}
         env["H"] = h
         tree = parse_class_expr(cfg["class"])
         value = evaluate(tree, env, lambda v: ProjClass.constant(bundle, v))
         return {"class": pushforward_series(value)}
 
-    hyp = _build_hypersurface(cfg, base)
+    hyp = _build_hypersurface(cfg, base, names)
 
     if command == "epoly":
         return {"value": smooth_hypersurface_euler(hyp.bundle.fiber_dim,

@@ -70,7 +70,7 @@ class HypersurfaceSpec(_Frozen, fields=("degree", "beta", "bundle")):
         if not isinstance(bundle, BundleSpec):
             raise TypeError("bundle must be a BundleSpec")
         beta = bundle.ring.convert(beta)
-        if not (beta.is_zero() or beta.is_homogeneous(1)):
+        if not beta.is_homogeneous(1):
             raise ValueError("beta must be zero or homogeneous of codimension 1")
         self._set(degree, beta, bundle, None)
 

@@ -3,14 +3,17 @@
 A rank-``r`` bundle is recorded through its Chern roots, twisted by
 :func:`normalize_twist` so that the first root ``M_0`` is zero; classes on the
 bundle's projectivization are polynomials in the hyperplane class ``H`` with
-base coefficients (:class:`ProjClass`), and the untwisted ``H`` is ``H - M_0``.
+base coefficients (:class:`ProjClass`).  :func:`normalize_twist` also returns
+the untwisted ``H``, the class ``h = H - M_0``, and a caller reads a class
+given in the untwisted ``H`` as a polynomial in ``h``.
 
 Three mathematically independent evaluations of the pushforward are
 provided.  The series route applies the projection formula monomial by
 monomial: ``H**(r-1+k)`` pushes to the codimension-``k`` part of the inverse
-total Chern class of the bundle.  The closed-form route takes the Newton
-divided difference of the coefficients' polynomial at the negated roots,
-each repeated by its multiplicity, by synthetic division in the base ring.
+total Chern class of the bundle.  The closed-form route is one call of
+:func:`divided_difference`: the Newton divided difference of the
+coefficients' polynomial at the negated roots, each repeated by its
+multiplicity, by synthetic division in the base ring.
 The reduction route rewrites a class by the Grothendieck relation
 ``H**r + c_1(E) H**(r-1) + ... + c_r(E) = 0`` until it has at most ``r``
 coefficients (:meth:`ProjClass.reduce`); its ``H**(r-1)`` coefficient is
@@ -59,7 +62,7 @@ def _root_entries(roots):
     for form, _ in entries:
         if form.ring != ring:
             raise ContextError("Chern roots belong to different ring contexts")
-        if not (form.is_zero() or form.is_homogeneous(1)):
+        if not form.is_homogeneous(1):
             raise BundleError(f"Chern root {form} is not homogeneous of codimension 1")
     return entries, ring
 
@@ -110,10 +113,6 @@ class BundleSpec(_Frozen, fields=("roots",)):
     def ambient_dim(self):
         """Dimension of the projectivization: base dim + fiber dim."""
         return self.ring.bound + self.fiber_dim
-
-    @property
-    def nonzero_roots(self):
-        return self.roots[1:]
 
     def total_chern(self):
         if self._chern is None:
@@ -310,16 +309,16 @@ class ProjClass:
         return f"ProjClass({self})"
 
 
-def normalize_twist(roots, cls=None):
+def normalize_twist(roots):
     """Twist so the first listed root becomes zero.
 
     Every root ``M_i`` becomes ``M_i - M_0``; pushforwards are invariant
     under this change of presentation.  The roots are checked once, and the
     twisted ones go straight to the bundle, which merges them by term map;
     a zero ``M_0`` leaves them as they are.  Returns the normalized
-    ``BundleSpec`` with the untwisted hyperplane class ``h = H - M_0`` or,
-    given a class ``sum a_k H**k`` (a ``ProjClass`` or its coefficients),
-    with ``sum a_k h**k``, evaluated by Horner's rule.
+    ``BundleSpec`` and the untwisted hyperplane class ``h = H - M_0``, in
+    which a class ``sum a_k H**k`` of the untwisted bundle reads
+    ``sum a_k h**k``.
     """
     entries, ring = _root_entries(roots)
     m0 = entries[0][0]
@@ -327,14 +326,7 @@ def normalize_twist(roots, cls=None):
         entries = [(form - m0, mult) for form, mult in entries]
     bundle = object.__new__(BundleSpec)
     bundle._merge(entries, ring)
-    h = ProjClass._normalized(bundle, [-m0, ring.one])
-    if cls is None:
-        return bundle, h
-    out = ProjClass.constant(bundle, 0)
-    coeffs = cls.coeffs if isinstance(cls, ProjClass) else cls
-    for a in reversed(ProjClass(bundle, coeffs).coeffs):
-        out = out * h + a
-    return bundle, out
+    return bundle, ProjClass._normalized(bundle, [-m0, ring.one])
 
 
 # -- series route -------------------------------------------------------
@@ -382,6 +374,12 @@ def divided_difference(coeffs, nodes):
     ``len(nodes) - 1``; the result is symmetric in the nodes and truncated
     at the ring's bound, and a node repeated ``k + 1`` times gives the
     confluent value, the ``k``-th derivative there over ``k!``.
+
+    Synthetic division divides ``f`` by ``t - x_1``, the quotient by
+    ``t - x_2`` and so on: ``g`` by ``t - x`` leaves the quotient
+    ``q_(k-1) = g_k + x*q_k`` and the remainder ``g_0 + x*q_0 = g(x)``.
+    The first quotient is ``f[x_1, t]``, so the last remainder is the
+    difference.  Every product is truncated at the ring's bound.
     """
     nodes = list(nodes)
     if not nodes:
@@ -392,28 +390,15 @@ def divided_difference(coeffs, nodes):
     lifted = list(map(ring.zero._coerce, [*nodes, *coeffs]))
     if any(c is None for c in lifted):
         raise TypeError("the coefficients must be classes or exact rationals")
-    return ring._finish(_divided_difference(
-        ring, [c._terms for c in lifted[len(nodes):]], lifted[:len(nodes)]))
-
-
-def _divided_difference(ring, coeffs, nodes):
-    """The term map of ``f[x_1, ..., x_m]``, ``f(t) = sum coeffs[k] t**k``
-    (term maps of ``ring``), at the classes ``nodes``, equal ones allowed.
-
-    Synthetic division divides ``f`` by ``t - x_1``, the quotient by
-    ``t - x_2`` and so on: ``g`` by ``t - x`` leaves the quotient
-    ``q_(k-1) = g_k + x*q_k`` and the remainder ``g_0 + x*q_0 = g(x)``.
-    The first quotient is ``f[x_1, t]``, so the last remainder is the
-    difference.  Every product is truncated at the ring's bound."""
-    carry = {}
-    for node in nodes:
+    coeffs, carry = [c._terms for c in lifted[len(nodes):]], {}
+    for node in lifted[:len(nodes)]:
         x, carry, quotient = node._degree_table(), {}, []
         for g in reversed(coeffs):
             quotient.append(carry)
             carry = dict(g)
             _mul_into(carry, quotient[-1], x, ring.bound)
         coeffs = quotient[:0:-1]  # q_0 .. q_(n-1)
-    return carry
+    return ring._finish(carry)
 
 
 def pushforward_closed_form(cls):
@@ -425,7 +410,5 @@ def pushforward_closed_form(cls):
     polynomial of degree ``k`` in them, the codimension-``k`` part of
     ``1/c(E)``.  The result equals :func:`pushforward_series`.
     """
-    bundle = cls.bundle
-    nodes = [-form for form, mult in bundle.roots for _ in range(mult)]
-    return bundle.ring._finish(_divided_difference(
-        bundle.ring, [a._terms for a in cls.coeffs], nodes))
+    nodes = [-form for form, mult in cls.bundle.roots for _ in range(mult)]
+    return divided_difference(cls.coeffs, nodes)

@@ -242,10 +242,7 @@ class ChowRing(_Frozen, fields=("symbols", "bound")):
         return sum((self.sym(name) * _rational(c) for name, c in coeffs.items()),
                    self.zero)
 
-    # -- derived contexts ----------------------------------------------
-
-    def with_bound(self, bound):
-        return ChowRing(self.symbols, bound)
+    # -- conversion ----------------------------------------------------
 
     def convert(self, value):
         """Reinterpret a value in this ring, truncating to this bound.
@@ -556,10 +553,11 @@ class ChowPoly:
         return {name for name, shift in self.ring._shift.items()
                 if seen >> shift & mask}
 
-    def is_homogeneous(self, degree=None):
+    def is_homogeneous(self, degree):
+        """Whether every term has codimension ``degree``; zero has every
+        codimension."""
         mask = self.ring._mask
-        degs = {key & mask for key in self._terms}
-        return len(degs) <= 1 and (degree is None or degs <= {degree})
+        return {key & mask for key in self._terms} <= {degree}
 
     def coefficient(self, exponents):
         """Exact coefficient of the monomial ``{name: exp}``, exponents integers."""

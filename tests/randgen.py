@@ -61,14 +61,20 @@ def random_proj_class(rng, bundle):
     return ProjClass(bundle, [random_poly(rng, bundle.ring) for _ in range(width)])
 
 
-def shifted(cls, delta):
-    """``cls`` with ``H`` read as ``H + delta``, by Horner's rule in generic
-    ``ProjClass`` arithmetic: a reference for the twist."""
-    x = ProjClass.hyperplane(cls.bundle) + ProjClass.from_base(cls.bundle, delta)
-    out = ProjClass.constant(cls.bundle, 0)
-    for a in reversed(cls.coeffs):
+def in_powers_of(coeffs, x):
+    """``sum coeffs[k] * x**k`` for a ``ProjClass`` ``x``, by Horner's rule in
+    generic ``ProjClass`` arithmetic; each coefficient is a base class or an
+    exact rational."""
+    out = ProjClass.constant(x.bundle, 0)
+    for a in reversed(coeffs):
         out = out * x + a
     return out
+
+
+def shifted(cls, delta):
+    """``cls`` with ``H`` read as ``H + delta``: a reference for the twist."""
+    x = ProjClass.hyperplane(cls.bundle) + ProjClass.from_base(cls.bundle, delta)
+    return in_powers_of(cls.coeffs, x)
 
 
 def random_setup(rng, max_rank=5, max_dim=4):

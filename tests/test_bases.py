@@ -89,42 +89,42 @@ def test_specialize_examples():
     c1, c2 = base.chern_symbol(1), base.chern_symbol(2)
     assert specialize(c1, p3) == 4 * h
     assert specialize(12 * c1 * c2 + 360 * c1 ** 3, p3) == 23328 * h ** 3
-    assert specialize(base.divisor(), p3) == 4 * h
+    assert specialize(base.ring.sym("L"), p3) == 4 * h
 
 
 def test_specialize_unknown_symbol():
     base = FormalBase(2, divisors=("L", "M"))
     p2 = ProjectiveSpaceBase(2, multiple=3)
     with pytest.raises(SpecializationError):
-        specialize(base.divisor("M"), p2)
+        specialize(base.ring.sym("M"), p2)
     with pytest.raises(SpecializationError,
                        match="divisor 'L' has no bound multiple of h"):
-        specialize(base.divisor("L"), ProjectiveSpaceBase(2))
+        specialize(base.ring.sym("L"), ProjectiveSpaceBase(2))
     with pytest.raises(TypeError):
-        specialize(base.divisor("L"), FormalBase(2))
+        specialize(base.ring.sym("L"), FormalBase(2))
 
 
 def test_specialize_reads_the_divisor_from_bindings(monkeypatch):
     p3 = ProjectiveSpaceBase(3, multiple=4)
     h = p3.hyperplane()
-    L = FormalBase(3).divisor()
+    L = FormalBase(3).ring.sym("L")
     monkeypatch.setattr(ProjectiveSpaceBase, "bindings",
                         lambda self: {"L": 5 * self.hyperplane()})
     assert specialize(L ** 2, p3) == 25 * h ** 2
     monkeypatch.undo()
     assert specialize(L ** 2, p3) == 16 * h ** 2
     # h is never rebound, even when it is the named divisor
-    on_h = FormalBase(3, divisors=("h",)).divisor()
+    on_h = FormalBase(3, divisors=("h",)).ring.sym("h")
     assert specialize(on_h, ProjectiveSpaceBase(3, multiple=2, divisor="h")) == h
     # c0 and c01 are divisor names: a formal base's Chern symbols are c1..c3
     for name in ("c0", "c01"):
-        D = FormalBase(3, divisors=(name,)).divisor()
+        D = FormalBase(3, divisors=(name,)).ring.sym(name)
         assert specialize(D, ProjectiveSpaceBase(3, multiple=2, divisor=name)) == 2 * h
 
 
 def test_specialize_reads_c_i_as_a_chern_class_only_at_degree_i():
     # c5 of degree 1 is a divisor on a dimension-2 base, not the Chern class c5
-    D = FormalBase(2, ("c5",)).divisor()
+    D = FormalBase(2, ("c5",)).ring.sym("c5")
     p2 = ProjectiveSpaceBase(2, 3, "c5")
     h = p2.hyperplane()
     assert specialize(D, p2) == 3 * h
@@ -141,7 +141,7 @@ def test_specialize_reads_c_i_as_a_chern_class_only_at_degree_i():
     c1, c2, c3 = (base.chern_symbol(i) for i in (1, 2, 3))
     assert specialize(c1, p3) == 4 * h
     assert specialize(c2, p3) == 6 * h ** 2
-    assert specialize(c3 + c1 * c2 + base.divisor(), p3) == 28 * h ** 3 + 2 * h
+    assert specialize(c3 + c1 * c2 + base.ring.sym("c5"), p3) == 28 * h ** 3 + 2 * h
 
 
 def test_specialize_is_ring_homomorphism():
@@ -157,13 +157,13 @@ def test_specialize_is_ring_homomorphism():
 
 def test_fano_binding_is_render_time():
     base = FormalBase(3, fano=True)
-    L = base.divisor()
+    L = base.ring.sym("L")
     c1 = base.chern_symbol(1)
     # the ring itself stays free
     assert L != c1
     assert base.apply_binding(12 * L + L * c1) == 12 * c1 + c1 ** 2
     plain = FormalBase(3)
-    assert plain.apply_binding(12 * L) == 12 * plain.divisor()
+    assert plain.apply_binding(12 * L) == 12 * plain.ring.sym("L")
 
 
 def test_fano_binding_renames_on_packed_keys():
@@ -174,7 +174,7 @@ def test_fano_binding_renames_on_packed_keys():
     for _ in range(200):
         base = FormalBase(rng.randint(1, 4), divisors=("L", "M"), fano=True)
         c1 = base.chern_symbol(1)
-        mixed = base.divisor() + rng.randint(-2, 2) * c1
+        mixed = base.ring.sym("L") + rng.randint(-2, 2) * c1
         cls = (random_poly(rng, base.ring, max_factors=4, terms=6)
                + random_poly(rng, base.ring, max_factors=3) * mixed)
         met += any({"L", "c1"} <= {n for n, _ in mono} for mono, _ in cls.terms())
@@ -187,7 +187,7 @@ def test_fano_binding_renames_on_packed_keys():
         assert base.apply_binding(cls) == reference
     assert met > 25
     base = FormalBase(3, fano=True)
-    L, c1 = base.divisor(), base.chern_symbol(1)
+    L, c1 = base.ring.sym("L"), base.chern_symbol(1)
     assert base.apply_binding((L + c1) ** 3 - 8 * c1 ** 3) == 0
     assert base.apply_binding(L ** 2 * c1 - L * c1 ** 2) == 0
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relchern import (BundleSpec, ChowPoly, ChowRing, ContextError, FermatFamily,
-                      FormalBase, HypersurfaceSpec, ModeError, ProjClass,
+from relchern import (BundleSpec, ChowError, ChowPoly, ChowRing, ContextError,
+                      FermatFamily, FormalBase, HypersurfaceSpec, ModeError, ProjClass,
                       ProjectiveSpaceBase, StratumData, Symbol,
                       SymbolError, UnsupportedDegreeError,
                       alpha_class, euler_characteristic, expand_ratio,
@@ -22,8 +22,8 @@ from relchern import (BundleSpec, ChowPoly, ChowRing, ContextError, FermatFamily
 from relchern import fibration, pushforward
 from relchern.ring import _mul_into, _negated_table
 from tests import golden_cases
-from tests.randgen import (DIVISORS, random_base, random_bundle, random_form,
-                           random_proj_class)
+from tests.randgen import (DIVISORS, in_powers_of, random_base, random_bundle,
+                           random_form, random_proj_class)
 
 
 def weierstrass(base):
@@ -69,7 +69,7 @@ def test_from_roots_twists_beta():
     # same geometry presented with an untwisted root list
     hyp = HypersurfaceSpec.from_roots(3, 9 * L, [L, 3 * L, 4 * L])
     assert hyp.beta == 9 * L - 3 * L  # degree * first root is absorbed
-    assert hyp.bundle.nonzero_roots == ((2 * L, 1), (3 * L, 1))
+    assert hyp.bundle.roots[1:] == ((2 * L, 1), (3 * L, 1))
     reference = weierstrass(base)
     assert q_class(hyp) == q_class(reference)
     # bare roots or (root, multiplicity) pairs, an integer beta, and a beta
@@ -101,7 +101,8 @@ def test_from_roots_reads_its_bundle_and_beta_from_normalize_twist():
         degree = rng.randint(0, 4)
         beta = random_form(rng, ring, nonzero=False)
         hyp = HypersurfaceSpec.from_roots(degree, beta, roots)
-        bundle, cls = normalize_twist(roots, [beta, degree])
+        bundle, h = normalize_twist(roots)
+        cls = in_powers_of([beta, degree], h)
         assert hyp.bundle == bundle
         assert hyp.beta == cls.coeff(0)
         assert cls.coeff(1) == degree
@@ -510,6 +511,23 @@ def test_euler_as_integer_is_none_or_a_bool():
     assert euler_characteristic(proj_hyp, proj, as_integer=True) == -540
 
 
+def test_euler_over_projective_space_refuses_a_non_integral_degree():
+    # roots 0, h/3, h and the class 3H + h/3: the top class has degree
+    # -212/3, which no Euler characteristic is; the class itself is returned
+    # on request
+    base = ProjectiveSpaceBase(2)
+    h = base.hyperplane()
+    third = Fraction(1, 3) * h
+    hyp = HypersurfaceSpec(3, third, BundleSpec([base.ring.zero, third, h]))
+    for as_integer in (None, True):
+        with pytest.raises(ChowError) as caught:
+            euler_characteristic(hyp, base, as_integer=as_integer)
+        assert str(caught.value) == "non-integral Euler characteristic -212/3"
+    top = euler_characteristic(hyp, base, as_integer=False)
+    assert top == Fraction(-212, 3) * h ** 2
+    assert str(top) == "-212/3*h^2"
+
+
 def test_euler_specialization_commutes():
     for dim, multiple in ((2, 3), (3, 4), (3, 2), (4, 1)):
         formal = FormalBase(dim)
@@ -724,8 +742,7 @@ def test_q_class_display_runs_no_divided_difference(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the divided-difference route ran")
 
-    for name in ("divided_difference", "_divided_difference",
-                 "pushforward_closed_form"):
+    for name in ("divided_difference", "pushforward_closed_form"):
         monkeypatch.setattr(f"relchern.pushforward.{name}", refuse)
     for case_id, _, hyp in golden_cases.anchors():
         assert q_class_display(hyp) == q_class(hyp), case_id

@@ -2,7 +2,7 @@
 
 A ring packs each exponent and the degree into fields of
 ``bound.bit_length() + 1`` bits, so the ring at the largest bound,
-``ring.with_bound(_MAX_BOUND)``, has 32-bit fields.  Truncation is a ring
+``ChowRing(ring.symbols, _MAX_BOUND)``, has 32-bit fields.  Truncation is a ring
 homomorphism, so the same computation done in ``ring`` and in that twin,
 then converted back, runs the kernels at two widths and must give the same
 value.  The bounds sit on either side of each power of two, and the values
@@ -76,7 +76,7 @@ def test_operations_agree_with_the_same_ring_at_32_bits(bound):
     # no division, components() or component() runs in the wide ring: each
     # would reach degree _MAX_BOUND
     ring = ring_of(bound)
-    wide = ring.with_bound(_MAX_BOUND)
+    wide = ChowRing(ring.symbols, _MAX_BOUND)
     left, right = edge_values(ring)
     wl, wr = wide.convert(left), wide.convert(right)
     L = ring.sym("L")

@@ -11,9 +11,9 @@ from relchern import (BundleError, BundleSpec, ChowError, ChowPoly, ChowRing,
                       inverse_total_chern, normalize_twist,
                       pushforward_closed_form, pushforward_power,
                       pushforward_series)
-from tests.randgen import (random_base, random_bundle, random_form, random_poly,
-                           random_proj_class, random_rational, random_setup,
-                           shifted)
+from tests.randgen import (in_powers_of, random_base, random_bundle, random_form,
+                           random_poly, random_proj_class, random_rational,
+                           random_setup, shifted)
 
 
 def ring_L(bound):
@@ -43,7 +43,7 @@ def test_bundle_merges_repeated_roots():
     L = ring.sym("L")
     b = BundleSpec([ring.zero, (L, 1), (L, 2)])
     assert b.rank == 4
-    assert b.nonzero_roots == ((L, 3),)
+    assert b.roots[1:] == ((L, 3),)
 
 
 def test_bundle_rejects_bad_roots():
@@ -95,16 +95,17 @@ def test_normalize_twist_subtracts_first_root():
     ring = ring_L(3)
     L = ring.sym("L")
     pre = BundleSpec([ring.zero, L])  # carrier for the H-class
-    bundle, cls = normalize_twist([L, 2 * L], ProjClass.hyperplane(pre))
-    assert bundle.nonzero_roots == ((L, 1),)
+    bundle, h = normalize_twist([L, 2 * L])
+    cls = in_powers_of(ProjClass.hyperplane(pre).coeffs, h)
+    assert bundle.roots[1:] == ((L, 1),)
     assert cls == ProjClass.hyperplane(bundle) - ProjClass.from_base(bundle, L)
 
 
 def test_normalize_twist_fixed_point():
     ring = ring_L(3)
     L = ring.sym("L")
-    bundle, cls = normalize_twist([ring.zero, 2 * L, 3 * L],
-                                  [ring.one, L, ring.zero, 5 * L])
+    bundle, h = normalize_twist([ring.zero, 2 * L, 3 * L])
+    cls = in_powers_of([ring.one, L, ring.zero, 5 * L], h)
     assert bundle == weierstrass_bundle()
     assert cls.coeffs == (ring.one, L, ring.zero, 5 * L)
 
@@ -112,10 +113,10 @@ def test_normalize_twist_fixed_point():
 def test_normalize_twist_negative_first_root():
     ring = ring_L(3)
     L = ring.sym("L")
-    bundle, cls = normalize_twist([-L, L], [ring.one])
-    assert bundle.nonzero_roots == ((2 * L, 1),)
-    assert cls == ProjClass.constant(bundle, 1)
-    assert normalize_twist([-L, L]) == (bundle, ProjClass.hyperplane(bundle) + L)
+    bundle, h = normalize_twist([-L, L])
+    assert bundle.roots[1:] == ((2 * L, 1),)
+    assert in_powers_of([ring.one], h) == ProjClass.constant(bundle, 1)
+    assert h == ProjClass.hyperplane(bundle) + L
 
 
 def test_normalize_twist_returns_the_untwisted_hyperplane_class(monkeypatch):
@@ -601,7 +602,8 @@ def test_twist_invariance():
         reference = pushforward_series(cls)
         shift = random_form(rng, bundle.ring, nonzero=False)
         shifted_roots = [(form + shift, mult) for form, mult in bundle.roots]
-        renorm, back = normalize_twist(shifted_roots, shifted(cls, shift))
+        renorm, h = normalize_twist(shifted_roots)
+        back = in_powers_of(shifted(cls, shift).coeffs, h)
         assert renorm == bundle
         assert pushforward_series(back) == reference
         assert pushforward_closed_form(back) == reference

@@ -158,7 +158,7 @@ VALUES = [
     (lambda: ProjectiveSpaceBase(2), "ProjectiveSpaceBase(dim=2, L unbound)",
      "divisor", True),
     (lambda: FormalBase(3).ring, "ChowRing(L,c1,c2,c3; bound=3)", "bound", True),
-    (lambda: FormalBase(1).ring.with_bound(2),
+    (lambda: ChowRing(FormalBase(1).ring.symbols, 2),
      "ChowRing(L,c1; bound=2)", "symbols", True),
     (lambda: weierstrass().bundle, "BundleSpec[(0)^1, (2*L)^1, (3*L)^1]",
      "roots", False),
@@ -219,7 +219,7 @@ def test_values_differ_by_any_field():
     assert FormalBase(2) != ProjectiveSpaceBase(2)
     assert ProjectiveSpaceBase(3, 4) != ProjectiveSpaceBase(3, 4, "M")
     assert FormalBase(3).ring != FormalBase(2).ring
-    assert FormalBase(3).ring != FormalBase(3).ring.with_bound(4)
+    assert FormalBase(3).ring != ChowRing(FormalBase(3).ring.symbols, 4)
     assert FormalBase(3).ring != FormalBase(3, ("M",)).ring
     assert len({FormalBase(3), FormalBase(3), FormalBase(3).ring,
                 FormalBase(3).ring}) == 2

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from relchern import (ChowRing, ParseError, Symbol, class_to_json,
-                      parse_class_expr, render_expr, to_latex, to_text)
+                      parse_class_expr, render, render_expr, to_latex, to_text)
 from relchern.expressions import BinOp, Num, Sym
 
 NUM, DEN = 2 ** 20000, 3 ** 10000  # 6021 and 4772 digits
@@ -203,3 +203,19 @@ def test_latex_names_with_two_or_more_underscores_take_one_subscript():
         r"3 {}_{u\_v} a_{b\_c}"
     # the text and JSON renderings keep the name as it is
     assert to_text(ring.sym("a_b_c") ** 2) == "a_b_c^2"
+
+
+def test_a_full_factor_string_table_starts_again_empty():
+    # L + L^2 + ... + L^1100 has 1,100 factors, so each table of 1,024
+    # factor strings fills up and empties itself at least once on the way
+    ring = ChowRing([Symbol("L")], 1100)
+    L = ring.sym("L")
+    cls, power = ring.zero, ring.one
+    for _ in range(1100):
+        power = power * L
+        cls = cls + power
+    exponents = range(2, 1101)
+    assert to_text(cls) == " + ".join(["L", *(f"L^{k}" for k in exponents)])
+    assert to_latex(cls) == " + ".join(["L", *(f"L^{{{k}}}" for k in exponents)])
+    for table in (render._text_strings, render._latex_strings):
+        assert len(table) <= table.limit

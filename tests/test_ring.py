@@ -208,7 +208,7 @@ def test_component_partition_and_idempotence(p):
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys())
 def test_truncation_is_ring_homomorphism(a, b):
-    low = RING.with_bound(2)
+    low = ChowRing(RING.symbols, 2)
     assert low.convert(a * b) == low.convert(a) * low.convert(b)
     assert low.convert(a + b) == low.convert(a) + low.convert(b)
 

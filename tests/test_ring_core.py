@@ -59,7 +59,7 @@ def assert_exact(poly):
 @settings(max_examples=80, deadline=None)
 @given(polys(), polys())
 def test_truncated_product_equals_full_product_then_truncation(a, b):
-    full = RING.with_bound(2 * RING.bound)
+    full = ChowRing(RING.symbols, 2 * RING.bound)
     assert a * b == RING.convert(full.convert(a) * full.convert(b))
 
 
@@ -334,7 +334,7 @@ def test_expand_ratio_matches_the_geometric_series(a, b, q):
 
 def test_division_by_a_non_unit_or_zero():
     rng = random.Random(7)
-    bundle = random_bundle(rng, RING.with_bound(2))
+    bundle = random_bundle(rng, ChowRing(RING.symbols, 2))
     H = ProjClass.hyperplane(bundle)
     L = ProjClass.from_base(bundle, bundle.ring.sym("L"))
     with pytest.raises(NonUnitError):
@@ -482,7 +482,7 @@ def test_decode_visits_the_nonzero_fields_as_a_full_walk_would(exponents, field0
 
 # -- products on term maps -------------------------------------------------
 
-TALL = RING.with_bound(8)
+TALL = ChowRing(RING.symbols, 8)
 
 # the limit, from the right operand's top degree and an offset: a left term
 # of degree 0 then has room below, equal to or above that degree, or none
