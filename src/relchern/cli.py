@@ -9,7 +9,8 @@ multiplier class of a hypersurface), ``euler`` (Euler characteristic or its
 symbolic top class), ``svw`` (all graded pieces of the pushed-down Chern
 class), ``csm-check`` (stratified route versus pushforward route for the
 Fermat-type family) and ``epoly`` (Euler characteristic of a smooth
-hypersurface of the configured degree and fiber dimension).
+hypersurface of the configured degree and fiber dimension).  ``push`` reads
+every name but ``H`` as a base class, lifted to ``P(E)`` where it meets ``H``.
 
 The job is a JSON object (``--config FILE``, or ``-`` for stdin) with keys
 ``base``, ``bundle``, ``hypersurface``, ``command``, ``format``, ``class``,
@@ -158,6 +159,7 @@ def _build_base(cfg):
         divisor, multiple = "L", None
         for name, value in bind.items():
             _require(name != "H", "the divisor name H is reserved")
+            _require(name != "h", "h is the hyperplane class; it cannot be bound")
             divisor, multiple = name, _as_int(value, f"binding of {name}")
         return ProjectiveSpaceBase(dim, multiple, divisor)
     raise ValidationError("base.kind must be 'formal' or 'projective'")
@@ -240,11 +242,10 @@ def _run(cfg):
                  "push needs a class expression (--class or config 'class')")
         # the expression's H is the untwisted hyperplane class, H - M_0 here
         bundle, h = normalize_twist(_build_roots(cfg, base, names))
-        env = {name: ProjClass.from_base(bundle, cls)
-               for name, cls in names.items()}
-        env["H"] = h
         tree = parse_class_expr(cfg["class"])
-        value = evaluate(tree, env, lambda v: ProjClass.constant(bundle, v))
+        value = evaluate(tree, {**names, "H": h}, base.ring.const)
+        if isinstance(value, ChowPoly):
+            value = ProjClass.from_base(bundle, value)
         return {"class": pushforward_series(value)}
 
     hyp = _build_hypersurface(cfg, base, names)

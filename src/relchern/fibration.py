@@ -84,8 +84,7 @@ class HypersurfaceSpec(_Frozen, fields=("degree", "beta", "bundle")):
         return cls(degree, bundle.ring.convert(beta) + degree * h.coeff(0), bundle)
 
     def divisor_class(self):
-        H = ProjClass.hyperplane(self.bundle)
-        return H * self.degree + ProjClass.from_base(self.bundle, self.beta)
+        return ProjClass.hyperplane(self.bundle) * self.degree + self.beta
 
     def __repr__(self):
         # degree*H leads the terms of beta, in the text of any class

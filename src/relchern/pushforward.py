@@ -161,7 +161,7 @@ class ProjClass:
 
     @classmethod
     def from_base(cls, bundle, value):
-        return cls(bundle, [bundle.ring.convert(value)])
+        return cls(bundle, [value])
 
     @classmethod
     def hyperplane(cls, bundle):
@@ -238,16 +238,16 @@ class ProjClass:
         """Division by a nonzero rational constant, or exact division by a
         class with constant term 1, a unit of the truncated ring.
 
-        The quotient ``z`` is found coefficient by coefficient in ``H``:
-        ``z_n = (a_n - sum_(k >= 1) u_k z_(n-k)) / u_0``, truncated at the
-        codimension ``H**n`` leaves room for; one divider by ``u_0``,
-        checked to be a unit, serves every ``n``."""
+        The quotient ``z`` is found coefficient by coefficient in ``H``,
+        ``z_n = (a_n - sum_(k >= 1) u_k z_(n-k)) / u_0`` truncated at the
+        codimension ``H**n`` leaves room for, by one divider by ``u_0``
+        checked to be a unit; a ``u`` with no ``H`` keeps ``a``'s width."""
         if len(other.coeffs) <= 1 and other.coeff(0).is_constant():
             return self * Fraction(1, _nonzero_rational(other.constant_term()))
         ring, dmax = self.bundle.ring, self.bundle.ambient_dim
         divide = _unit_divider(other.coeffs[0])
         negated, quotient = _negated_table(other.coeffs), []
-        for n in range(dmax + 1):
+        for n in range(dmax + 1 if negated else len(self.coeffs)):
             limit = min(ring.bound, dmax - n)
             z = dict(self.coeffs[n]._terms) if n < len(self.coeffs) else {}
             for k, u in negated:

@@ -232,9 +232,9 @@ class ChowRing(_Frozen, fields=("symbols", "bound")):
 
     def sym(self, name):
         value = self._syms.get(name)
-        if value is None:
-            self.degree_of(name)
-            value = self._syms[name] = self._from_monomials({((name, 1),): 1})
+        if value is None:  # the one term keyed by _unit, or none past the bound
+            terms = {self._unit[name]: 1} if self.degree_of(name) <= self.bound else {}
+            value = self._syms[name] = ChowPoly(self, terms)
         return value
 
     def linear(self, coeffs):

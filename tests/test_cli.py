@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -16,9 +17,14 @@ from relchern import (BundleSpec, ChowPoly, FermatFamily, FormalBase,
                       HypersurfaceSpec, ProjClass, class_to_json, q_class,
                       relative_chern_class, to_text)
 from relchern import cli
+from relchern import ring as ring_module
 from relchern.cli import main
+from relchern.expressions import (BinOp, Neg, Pow, Sym, evaluate,
+                                  parse_class_expr, render_expr)
+from relchern.pushforward import normalize_twist, pushforward_series
 from relchern.render import all_digits as lifted_digit_limit
 from tests import golden_cases
+from tests.randgen import random_expr
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WEIERSTRASS_JOB_FILE = ROOT / "demos" / "weierstrass.json"
@@ -239,6 +245,142 @@ def test_the_cli_runs_no_generic_projclass_product_outside_push(tmp_path,
     monkeypatch.setattr(ProjClass, "__rmul__", refuse)
     assert [run_cli(capsys, argv) for argv in argvs] == expected[:-1]
     assert all(code == 0 for code, _, _ in expected)
+
+
+# four push jobs: a fano formal base; a formal base with two divisors and a
+# nonzero first root; a projective base with L bound to 2h and a nonzero
+# first root; and an unbound projective base, where L is an unknown name
+PUSH_JOBS = {
+    "weierstrass": json.loads(WEIERSTRASS_JOB_FILE.read_text(encoding="utf-8")),
+    "formal-two-divisors": {
+        "base": {"kind": "formal", "dim": 3, "divisors": ["L", "M"]},
+        "bundle": {"roots": [{"form": {"L": 1}}, {"form": {"M": 2}},
+                             {"form": {"L": 1, "M": -1}, "mult": 2}]},
+    },
+    "projective-bound": {
+        "base": {"kind": "projective", "dim": 3, "bind": {"L": 2}},
+        "bundle": {"roots": [{"form": {"L": 1}}, {"form": {"h": 1}},
+                             {"form": {"h": -1}}]},
+    },
+    "projective-unbound": {
+        "base": {"kind": "projective", "dim": 2},
+        "bundle": {"roots": [{"form": {"h": 1}}, {"form": {"h": 3}, "mult": 2}]},
+    },
+}
+# on a projective base the pool's M and c1 read as h, so its one class is used
+PROJECTIVE_NAMES = {"M": "h", "c1": "h"}
+ZERO_JSON = json.dumps({"command": "push", "result": {"class": []}}, indent=2) + "\n"
+
+
+def renamed(node, names):
+    """The tree ``node`` with each symbol renamed through ``names``."""
+    if isinstance(node, Sym):
+        return Sym(names.get(node.name, node.name))
+    if isinstance(node, Neg):
+        return Neg(renamed(node.operand, names))
+    if isinstance(node, Pow):
+        return Pow(renamed(node.base, names), node.exponent)
+    if isinstance(node, BinOp):
+        return BinOp(node.op, renamed(node.left, names),
+                     renamed(node.right, names))
+    return node
+
+
+def run_lifting_every_name(cfg, run=cli._run):
+    """``cli._run`` with a push class evaluated on P(E) throughout: every
+    name lifted by ``ProjClass.from_base`` and every literal by
+    ``ProjClass.constant``.  ``run``, bound when this is defined, is the
+    unpatched ``cli._run`` for the other commands."""
+    if cfg["command"] != "push":
+        return run(cfg)
+    cli._require(isinstance(cfg["class"], str) and cfg["class"].strip(),
+                 "push needs a class expression (--class or config 'class')")
+    base = cli._build_base(cfg)
+    names = cli._names(base)
+    bundle, h = normalize_twist(cli._build_roots(cfg, base, names))
+    env = {name: ProjClass.from_base(bundle, cls) for name, cls in names.items()}
+    env["H"] = h
+    value = evaluate(parse_class_expr(cfg["class"]), env,
+                     lambda v: ProjClass.constant(bundle, v))
+    return {"class": pushforward_series(value)}
+
+
+@pytest.mark.parametrize("job", sorted(PUSH_JOBS))
+def test_push_lifting_only_h_matches_lifting_every_name(tmp_path, capsys,
+                                                        monkeypatch, job):
+    cfg = write_config(tmp_path, PUSH_JOBS[job])
+    names = PROJECTIVE_NAMES if job.startswith("projective") else {}
+    rng = random.Random(f"push-lift-{job}")
+    codes, pushed = set(), 0
+    for trial in range(150):
+        tree = renamed(random_expr(rng, depth=4), names)
+        if trial % 2:  # H^3 times the class, which then pushes to nonzero
+            tree = BinOp("*", Pow(Sym("H"), 3), tree)
+        expr = render_expr(tree)
+        for fmt in ("text", "json"):
+            argv = ["push", "--config", cfg, f"--class={expr}", "--format", fmt]
+            got = run_cli(capsys, argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_run", run_lifting_every_name)
+                assert got == run_cli(capsys, argv), (trial, expr, fmt)
+            codes.add(got[0])
+            pushed += got[0] == 0 and got[1] not in ("0\n", ZERO_JSON)
+    # the battery reaches nonzero pushes and refusals
+    assert codes == {0, 2} and pushed >= 40
+
+
+def test_push_lifts_only_h_to_the_projectivization(tmp_path, capsys,
+                                                   monkeypatch):
+    # at --trunc 200 a class on P(E) of the demo job has 203 coefficients in
+    # H; a base subexpression stays in the base ring, and dividing H^3 by a
+    # base unit runs the divider once per coefficient of H^3
+    argv = ["push", "--config", str(WEIERSTRASS_JOB_FILE), "--trunc", "200",
+            "--class"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_run", run_lifting_every_name)
+        expected = [run_cli(capsys, argv + [expr])
+                    for expr in ("L^2/(1+L)", "H^3/(1+L)")]
+    calls = {"from_base": 0, "truediv": 0, "divide_unit": 0}
+    from_base, truediv = ProjClass.from_base.__func__, ProjClass.__truediv__
+    divide_unit = ring_module._divide_unit
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ProjClass, "from_base",
+                        classmethod(counted("from_base", from_base)))
+    monkeypatch.setattr(ProjClass, "__truediv__", counted("truediv", truediv))
+    monkeypatch.setattr(ring_module, "_divide_unit",
+                        counted("divide_unit", divide_unit))
+    assert run_cli(capsys, argv + ["L^2/(1+L)"]) == expected[0] == (0, "0\n", "")
+    assert calls["from_base"] <= 1 and calls["truediv"] == 0
+    calls.update(dict.fromkeys(calls, 0))
+    assert run_cli(capsys, argv + ["H^3/(1+L)"]) == expected[1]
+    # 4 quotient coefficients, and 1/c(E) for the push
+    assert calls["divide_unit"] == 5 and calls["truediv"] == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_projective_binding_of_h_is_refused(tmp_path, capsys, fmt):
+    payload = json.loads(WEIERSTRASS_JOB_FILE.read_text(encoding="utf-8"))
+    payload["base"] = {"kind": "projective", "dim": 2, "bind": {"h": 3}}
+    cfg = write_config(tmp_path, payload)
+    code, out, err = run_cli(capsys, ["euler", "--config", cfg,
+                                      "--format", fmt])
+    message = "h is the hyperplane class; it cannot be bound"
+    assert (code, err) == (2, f"error: {message}\n")
+    if fmt == "json":
+        assert json.loads(out)["error"] == {
+            "exit_code": 2, "type": "ValidationError", "message": message}
+    else:
+        assert out == ""
+    payload["base"]["bind"] = {"H": 3}  # the reserved name keeps its message
+    code, _, err = run_cli(capsys, ["euler", "--config",
+                                    write_config(tmp_path, payload)])
+    assert (code, err) == (2, "error: the divisor name H is reserved\n")
 
 
 def test_push_simple_powers(tmp_path, capsys):

@@ -650,3 +650,18 @@ def test_proj_class_rejects_mixed_bundles():
     b2 = BundleSpec([ring.zero, ring.sym("L")])
     with pytest.raises(ChowError):
         ProjClass.hyperplane(b1) + ProjClass.hyperplane(b2)
+
+
+def test_division_by_a_base_unit_is_the_product_by_its_inverse():
+    # a divisor with no H term leaves z_n = a_n / u_0, so the quotient has
+    # the numerator's width and equals the product by the lifted 1/u
+    rng = random.Random(20261020)
+    for trial in range(60):
+        base, bundle, cls = random_setup(rng)
+        tail = random_poly(rng, bundle.ring)
+        unit = 1 + tail - tail.constant_term()
+        inverse = ProjClass.from_base(bundle, expand_ratio(1, unit))
+        quotient = cls / unit
+        assert quotient == cls * inverse, (trial, bundle, cls, unit)
+        assert quotient == cls / ProjClass.from_base(bundle, unit), trial
+        assert len(quotient.coeffs) <= len(cls.coeffs), trial
