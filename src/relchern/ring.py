@@ -183,28 +183,33 @@ class ChowRing(_Frozen, fields=("symbols", "bound")):
     of its symbols' degrees.  Two rings are interchangeable contexts exactly
     when their symbol tables and bounds agree.  Those also fix the width of
     every field of a key, ``_bits``; ``_mask`` reads one field, and
-    ``key & _mask`` is the degree.
+    ``key & _mask`` is the degree.  Every slot, the decode table ``_walk``
+    too, is set in ``__init__``, and nothing a ring holds refers back to it.
     """
 
     __slots__ = ("symbols", "bound", "_degrees", "_bits", "_mask", "_shift",
-                 "_unit", "_walk", "_syms")
+                 "_unit", "_walk")
 
     def __init__(self, symbols, bound):
         _check_bound(bound)
-        syms = [s if isinstance(s, Symbol) else Symbol(*s) for s in symbols]
+        syms = list(symbols)
+        for s in syms:
+            if not isinstance(s, Symbol):
+                raise SymbolError(f"a ring's symbols must be Symbol records, not {s!r}")
         syms.sort(key=lambda s: (s.degree, s.name))
         degrees = {s.name: s.degree for s in syms}
         if len(degrees) != len(syms):
             raise SymbolError("symbol names must be unique within a ring")
-        # no field exceeds the bound (module docstring); fields follow the
-        # (degree, name) order of printed monomials
-        bits = bound.bit_length() + 1
-        shift = {name: bits * (i + 1) for i, name in enumerate(degrees)}
-        unit = {name: degrees[name] + (1 << shift[name]) for name in degrees}
-        # _walk: see _decoders; _syms: name -> the value of sym(name);
-        # both filled on first use
+        # fields in (degree, name) order, none above the bound (module
+        # docstring); _walk gives _flat_terms each one's low bit, weight and tag
+        bits, names = bound.bit_length() + 1, list(degrees)
+        shift = {name: bits * (i + 1) for i, name in enumerate(names)}
+        unit = {name: degrees[name] + (1 << shift[name]) for name in names}
+        top = bits * len(names)
+        fields = [(bits * i, (degrees[name] << top) - (1 << top - shift[name]),
+                   i << bits - 1) for i, name in enumerate(names)]
         self._set(tuple(syms), bound, degrees, bits, (1 << bits) - 1, shift,
-                  unit, None, {})
+                  unit, (fields, _Factors(names, bits - 1)))
 
     def __repr__(self):
         names = ",".join(s.name for s in self.symbols)
@@ -231,11 +236,8 @@ class ChowRing(_Frozen, fields=("symbols", "bound")):
         return ChowPoly(self, {0: q} if q else {})
 
     def sym(self, name):
-        value = self._syms.get(name)
-        if value is None:  # the one term keyed by _unit, or none past the bound
-            terms = {self._unit[name]: 1} if self.degree_of(name) <= self.bound else {}
-            value = self._syms[name] = ChowPoly(self, terms)
-        return value
+        terms = {self._unit[name]: 1} if self.degree_of(name) <= self.bound else {}
+        return ChowPoly(self, terms)  # one term keyed by _unit; none past the bound
 
     def linear(self, coeffs):
         """Linear combination of symbols from a ``{name: rational}`` map."""
@@ -275,20 +277,6 @@ class ChowRing(_Frozen, fields=("symbols", "bound")):
                 out[sum(e * self._unit[n] for n, e in mono)] = c
         return self._finish(out)
 
-    def _decoders(self):
-        """``(fields, factors)``, built on first use: ``fields[i]`` holds,
-        for field ``i + 1`` once field 0 is shifted out, its lowest bit, the
-        weight of its exponent in an order and its tag in ``factors``."""
-        if self._walk is None:
-            bits, names = self._bits, list(self._shift)  # in field order
-            top = bits * len(names)
-            fields = [(bits * i,
-                       (self._degrees[name] << top) - (1 << top - bits * (i + 1)),
-                       i << bits - 1)
-                      for i, name in enumerate(names)]
-            object.__setattr__(self, "_walk", (fields, _Factors(names, bits - 1)))
-        return self._walk
-
     def _flat_terms(self, terms):
         """``[(order, codim, monomial, coeff), ...]`` for the term map
         ``terms``, in its order.  ``order``, the degree times
@@ -299,7 +287,7 @@ class ChowRing(_Frozen, fields=("symbols", "bound")):
         from 1.  The walk goes from the top nonzero field down: no field's
         top bit is set, so that field is ``key.bit_length() // bits``.
         Equal factors are one tuple, as values keep their decoded terms."""
-        fields, factors = self._walk or self._decoders()
+        fields, factors = self._walk
         bits, mask = self._bits, self._mask
         out = []
         append = out.append

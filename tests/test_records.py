@@ -7,6 +7,8 @@ family print as constructor calls; rings, projective bases, bundles and
 hypersurface specs keep a shorter form of their own."""
 
 import copy
+import gc
+import json
 import os
 import pathlib
 import pickle
@@ -16,7 +18,11 @@ import sys
 import pytest
 
 from relchern import (ChowRing, FermatFamily, FormalBase, HypersurfaceSpec,
-                      ProjectiveSpaceBase, StratumData, Symbol, alpha_class)
+                      ProjectiveSpaceBase, StratumData, Symbol, alpha_class,
+                      class_to_json, euler_characteristic, expand_ratio,
+                      q_class, q_class_display, q_rational, specialize,
+                      svw_components, to_latex, to_text)
+from relchern import cli
 from relchern.expressions import BinOp, Neg, Num, Pow, Sym
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -251,22 +257,66 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
 
 
 def test_filled_caches_leave_rings_and_bundles_as_fresh_ones():
-    # ChowRing.sym and BundleSpec.total_chern keep their values in slots
-    # that no comparison, hash, repr, copy or pickle reads
+    # a ring's factor table, filled as its values are decoded, and
+    # BundleSpec.total_chern keep their entries in slots that no comparison,
+    # hash, repr, copy or pickle reads
     ring, fresh_ring = FormalBase(3).ring, FormalBase(3).ring
-    assert ring.sym("L") is ring.sym("L") and ring.sym("c2") is ring.sym("c2")
+    assert not ring._walk[1]
+    assert str(ring.sym("L") * ring.sym("c2")) == "L*c2"
+    assert ring.sym("L") == ring.sym("L") and ring.sym("c2") == ring.sym("c2")
     bundle, fresh_bundle = weierstrass().bundle, weierstrass().bundle
     chern = bundle.total_chern()
     assert bundle.total_chern() is chern
-    assert ring._syms and not fresh_ring._syms and fresh_bundle._chern is None
     assert hash(ring) == hash(fresh_ring)
     assert pickle.dumps(ring) == pickle.dumps(fresh_ring)
-    for value, fresh, cache in ((ring, fresh_ring, "_syms"),
-                                (bundle, fresh_bundle, "_chern")):
+    for value, fresh, filled in ((ring, fresh_ring, lambda r: r._walk[1]),
+                                 (bundle, fresh_bundle, lambda b: b._chern)):
+        assert filled(value) and not filled(fresh)
         assert value == fresh and repr(value) == repr(fresh)
         for clone in (copy.copy(value), copy.deepcopy(value),
                       pickle.loads(pickle.dumps(value))):
             assert clone == fresh and repr(clone) == repr(fresh)
-            assert not getattr(clone, cache)
+            assert not filled(clone)
     with pytest.raises(TypeError):
         hash(bundle)  # ChowPoly roots are unhashable
+
+
+def run_the_weierstrass_job(parsed):
+    """The Weierstrass job through the library's routes, over a formal base
+    and over P^3, its classes rendered three ways, and through the CLI's
+    job runner for each parsed command line in ``parsed``; nothing it builds
+    is kept."""
+    hyp, base = weierstrass(), FormalBase(3)
+    pieces = svw_components(hyp, base)
+    classes = [q_class(hyp), q_class_display(hyp),
+               expand_ratio(*q_rational(hyp)), *pieces]
+    p3 = ProjectiveSpaceBase(3, 4)
+    ell = 4 * p3.hyperplane()
+    concrete = HypersurfaceSpec.from_roots(3, 6 * ell,
+                                           [p3.ring.zero, 2 * ell, 3 * ell])
+    assert euler_characteristic(concrete, p3) == 23328
+    assert p3.integrate(specialize(pieces[2], p3)) == 23328
+    for value in classes:
+        assert to_text(value) and to_latex(value) and json.dumps(class_to_json(value))
+    for args in parsed:
+        # compact: the standard library's indenting encoder is cyclic itself
+        result = cli._run(cli._load_config(args))
+        assert json.dumps(cli._json_result(result))
+        assert cli._text_result(result, "text") and cli._text_result(result, "latex")
+
+
+def test_a_job_leaves_nothing_for_the_cycle_collector():
+    # no value points back at itself, its ring or its job, so with the
+    # collector off all a finished job built is freed by reference counts;
+    # the parser, which is cyclic, is built before the collector stops
+    job = str(ROOT / "demos" / "weierstrass.json")
+    argv = [[command, "--config", job] for command in ("qclass", "euler", "svw", "epoly")]
+    argv.append(["push", "--config", job, "--class", "H^3/(1+L) + L^2/(1+L)"])
+    parsed = [cli._build_parser().parse_args(args) for args in argv]
+    gc.collect()
+    gc.disable()
+    try:
+        run_the_weierstrass_job(parsed)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

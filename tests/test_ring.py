@@ -1,5 +1,6 @@
 """Core ring arithmetic: truncation, exact series inversion, grading."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,14 @@ def test_ring_rejects_duplicate_names():
         ChowRing([Symbol("L"), Symbol("L")], 2)
     with pytest.raises(SymbolError):
         ChowRing([Symbol("L"), Symbol("L", 2)], 2)
+
+
+def test_ring_takes_only_symbol_records():
+    # a name, a (name, degree) pair or a number is refused by name, not
+    # unpacked into a Symbol
+    for entry in ("L", ("c2", 2), 3):
+        with pytest.raises(SymbolError, match=re.escape(f"not {entry!r}")):
+            ChowRing([Symbol("M"), entry], 2)
 
 
 def test_add_examples():
