@@ -10,7 +10,6 @@ formal answers into projective space and commutes with the whole pipeline.
 
 from __future__ import annotations
 
-import math
 import re
 
 from .ring import (ChowError, ChowRing, Symbol, SymbolError, _check_bound,
@@ -48,8 +47,9 @@ class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
     ``H`` and ``c1..c{dim}``.  With ``fano=True`` the first divisor is the
     anticanonical class: :meth:`bindings` reads it as ``c1``, so a job that
     names it computes in ``c1`` from the start.  A fano base needs at least
-    one divisor.  :meth:`chern_polynomial` is kept in a slot that no
-    comparison, hash, ``repr``, copy or pickle reads.
+    one divisor.  :meth:`chern_polynomial` is built on first use, as its keys
+    are as wide as the ring and most jobs never read it, and kept in a slot
+    that no comparison, hash, ``repr``, copy or pickle reads.
     """
 
     __slots__ = ("dim", "divisors", "fano", "ring", "_chern")
@@ -98,7 +98,8 @@ class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
     ``multiple`` optionally binds a divisor name (``"L"`` by default) to
     ``multiple * h`` so bundle data written in terms of that divisor can be
     interpreted here.  The divisor name is a symbol name other than ``H``.
-    :meth:`chern_polynomial` is kept as by :class:`FormalBase`.
+    ``c(P^dim) = sum_i binom(dim + 1, i) h^i`` is built with the base and
+    kept as by :class:`FormalBase`.
     """
 
     __slots__ = ("dim", "multiple", "divisor", "ring", "_chern")
@@ -109,19 +110,17 @@ class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
         if multiple is not None and not _is_int(multiple):
             raise ValueError("divisor multiple must be an integer")
         _divisor_symbol(divisor)
-        self._set(dim, multiple, divisor, ChowRing([Symbol("h", 1)], dim), None)
+        ring, terms, binomial = ChowRing([Symbol("h", 1)], dim), {}, 1
+        for i in range(dim + 1):
+            terms[(("h", i),)] = binomial
+            binomial = binomial * (dim + 1 - i) // (i + 1)
+        self._set(dim, multiple, divisor, ring, ring._from_monomials(terms))
 
     def hyperplane(self):
         return self.ring.sym("h")
 
     def chern_polynomial(self):
-        if self._chern is None:
-            object.__setattr__(self, "_chern",
-                               (self.ring.one + self.hyperplane()) ** (self.dim + 1))
         return self._chern
-
-    def chern_component(self, i):
-        return math.comb(self.dim + 1, i) * self.hyperplane() ** i
 
     def bindings(self):
         """``{divisor: multiple*h}`` once a multiple is bound; ``h`` itself
@@ -155,18 +154,19 @@ def specialize(cls, base):
     """Map a formal-base class into projective space.
 
     Chern symbols ``c_i``, the symbols ``c<i>`` of degree ``i``, become the
-    Chern components of projective space, the bound divisor becomes its class
-    in :meth:`ProjectiveSpaceBase.bindings` (``h`` is never rebound), and the
-    result is truncated at the target dimension.  An unbound divisor, or any
-    other surviving symbol, raises :class:`SpecializationError`.
+    graded pieces of ``c(P^dim)`` (0 for ``i > dim``), the bound divisor
+    becomes its class in :meth:`ProjectiveSpaceBase.bindings` (``h`` is never
+    rebound), and the result is truncated at the target dimension.  An unbound
+    divisor, or any other surviving symbol, raises :class:`SpecializationError`.
     """
     if not isinstance(base, ProjectiveSpaceBase):
         raise TypeError("specialize targets a ProjectiveSpaceBase")
     mapping = {"h": base.hyperplane(), **base.bindings()}
+    pieces = base.chern_polynomial()._graded()  # c_i is 0 for i > base.dim
     for name in cls.symbols_used():
         match = _CHERN_RE.match(name)
         if match and cls.ring.degree_of(name) == int(match[1]):
-            mapping[name] = base.chern_component(int(match[1]))
+            mapping[name] = pieces.get(int(match[1]), 0)
         elif name == base.divisor and name not in mapping:
             base.divisor_class()  # unbound, so this raises
         elif name not in mapping:

@@ -44,7 +44,7 @@ from .bases import FormalBase, ModeError, ProjectiveSpaceBase, _divisor_symbol
 from .pushforward import BundleSpec, ProjClass, normalize_twist, pushforward_series
 from .render import _text_strings, format_terms
 from .ring import (ChowError, ChowPoly, ContextError, _Frozen, _is_int,
-                   _linear_product, _unit_divider, expand_ratio)
+                   _linear_product, _mul_into, _unit_divider, expand_ratio)
 
 
 class UnsupportedDegreeError(ChowError):
@@ -183,7 +183,8 @@ def relative_chern_class(hyp, base):
 
 
 def euler_characteristic(hyp, base, as_integer=None):
-    """Top graded piece of the pushed-down Chern class.
+    """Top graded piece of the pushed-down Chern class, built alone as
+    ``sum_m Q_m * c_(dim-m)(B)`` over the graded pieces ``Q_m`` of ``Q``.
 
     Over projective space the piece is integrated to an ``int`` (pass
     ``as_integer=False`` for the class instead).  Over a formal base the
@@ -194,7 +195,12 @@ def euler_characteristic(hyp, base, as_integer=None):
     """
     if as_integer is not None and not isinstance(as_integer, bool):
         raise TypeError(f"as_integer must be None, True or False, not {as_integer!r}")
-    top = relative_chern_class(hyp, base).component(base.dim)
+    if hyp.bundle.ring != base.ring:
+        raise ContextError("hypersurface and base use different ring contexts")
+    chern, dim, terms = base.chern_polynomial(), base.dim, {}
+    for m, piece in expand_ratio(*q_rational(hyp))._graded().items():
+        _mul_into(terms, piece._terms, chern.component(dim - m)._degree_table(), dim)
+    top = base.ring._finish(terms)
     if isinstance(base, ProjectiveSpaceBase):
         if as_integer is False:
             return top

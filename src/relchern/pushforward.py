@@ -74,8 +74,8 @@ class BundleSpec(_Frozen, fields=("roots",)):
     repeated forms into a single entry with summed multiplicity, keyed by
     their term maps, so no two classes are compared; it orders roots
     canonically (zero first).  A root list without a zero entry is rejected;
-    apply :func:`normalize_twist` first.  The private slot ``_chern`` keeps
-    :meth:`total_chern` once built; equality, ``repr`` and copies ignore it.
+    apply :func:`normalize_twist` first.  The private slot ``_chern`` holds
+    :meth:`total_chern` from the start; equality, ``repr``, copies ignore it.
     """
 
     __slots__ = ("roots", "ring", "_chern")
@@ -96,7 +96,8 @@ class BundleSpec(_Frozen, fields=("roots",)):
             raise BundleError("no zero Chern root; normalize_twist twists the "
                               "first root to zero and builds the bundle")
         nonzero = sorted(merged.values(), key=lambda e: str(e[0]))
-        self._set((zero, *nonzero), ring, None)
+        chern = _linear_product(ring, [(form._terms, mult) for form, mult in nonzero])
+        self._set((zero, *nonzero), ring, ring._finish(chern))
         if self.rank < 2:
             raise BundleError("bundle rank must be at least 2")
 
@@ -115,9 +116,6 @@ class BundleSpec(_Frozen, fields=("roots",)):
         return self.ring.bound + self.fiber_dim
 
     def total_chern(self):
-        if self._chern is None:
-            object.__setattr__(self, "_chern", self.ring._finish(_linear_product(
-                self.ring, [(form._terms, mult) for form, mult in self.roots])))
         return self._chern
 
     def __repr__(self):

@@ -17,7 +17,14 @@ def test_projective_chern_polynomials():
     assert p3.chern_polynomial() == 1 + 4 * h + 6 * h ** 2 + 4 * h ** 3
     p1 = ProjectiveSpaceBase(1)
     assert p1.chern_polynomial() == 1 + 2 * p1.hyperplane()
-    assert p3.chern_component(2) == 6 * h ** 2
+    assert p3.chern_polynomial().component(2) == 6 * h ** 2
+
+
+def test_projective_chern_polynomial_is_the_power_of_one_plus_h():
+    # built from a running binomial; the square-and-multiply power is the reference
+    for k in range(41):
+        base = ProjectiveSpaceBase(k)
+        assert base.chern_polynomial() == (1 + base.hyperplane()) ** (k + 1), k
 
 
 def test_formal_chern_polynomial():
@@ -90,6 +97,18 @@ def test_specialize_examples():
     assert specialize(c1, p3) == 4 * h
     assert specialize(12 * c1 * c2 + 360 * c1 ** 3, p3) == 23328 * h ** 3
     assert specialize(base.ring.sym("L"), p3) == 4 * h
+
+
+def test_specialize_sends_chern_classes_above_the_target_dimension_to_zero():
+    base = FormalBase(5)
+    p3 = ProjectiveSpaceBase(3, multiple=4)
+    h = p3.hyperplane()
+    c1, c2, c4, c5 = (base.chern_symbol(i) for i in (1, 2, 4, 5))
+    assert specialize(c4, p3) == 0 and specialize(c5, p3) == 0
+    assert specialize(c1 + 2 * c4 + c2 * c5, p3) == 4 * h
+    p4 = ProjectiveSpaceBase(4)
+    assert specialize(c4 + c5, p4) == 5 * p4.hyperplane() ** 4
+    assert specialize(3 + c1 * c4, ProjectiveSpaceBase(0)) == 3
 
 
 def test_specialize_unknown_symbol():

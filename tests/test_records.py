@@ -257,26 +257,32 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
 
 
 def test_filled_caches_leave_rings_and_bundles_as_fresh_ones():
-    # a ring's factor table, filled as its values are decoded, and
-    # BundleSpec.total_chern keep their entries in slots that no comparison,
-    # hash, repr, copy or pickle reads
+    # a ring's factor table, filled as its values are decoded, is kept in a
+    # slot that no comparison, hash, repr, copy or pickle reads; a bundle
+    # builds c(E) with its roots, so a fresh bundle and every copy of one
+    # hold an equal c(E) from construction
     ring, fresh_ring = FormalBase(3).ring, FormalBase(3).ring
     assert not ring._walk[1]
     assert str(ring.sym("L") * ring.sym("c2")) == "L*c2"
     assert ring.sym("L") == ring.sym("L") and ring.sym("c2") == ring.sym("c2")
-    bundle, fresh_bundle = weierstrass().bundle, weierstrass().bundle
-    chern = bundle.total_chern()
-    assert bundle.total_chern() is chern
     assert hash(ring) == hash(fresh_ring)
     assert pickle.dumps(ring) == pickle.dumps(fresh_ring)
-    for value, fresh, filled in ((ring, fresh_ring, lambda r: r._walk[1]),
-                                 (bundle, fresh_bundle, lambda b: b._chern)):
-        assert filled(value) and not filled(fresh)
-        assert value == fresh and repr(value) == repr(fresh)
-        for clone in (copy.copy(value), copy.deepcopy(value),
-                      pickle.loads(pickle.dumps(value))):
-            assert clone == fresh and repr(clone) == repr(fresh)
-            assert not filled(clone)
+    assert ring._walk[1] and not fresh_ring._walk[1]
+    assert ring == fresh_ring and repr(ring) == repr(fresh_ring)
+    for clone in (copy.copy(ring), copy.deepcopy(ring),
+                  pickle.loads(pickle.dumps(ring))):
+        assert clone == fresh_ring and repr(clone) == repr(fresh_ring)
+        assert not clone._walk[1]
+    bundle = weierstrass().bundle
+    L = bundle.ring.sym("L")
+    chern = bundle._chern
+    assert chern == (1 + 2 * L) * (1 + 3 * L)
+    assert bundle.total_chern() is chern
+    for clone in (weierstrass().bundle, copy.copy(bundle), copy.deepcopy(bundle),
+                  pickle.loads(pickle.dumps(bundle))):
+        assert clone._chern == chern and clone.total_chern() is clone._chern
+        assert clone._chern.ring == clone.ring
+        assert clone == bundle and repr(clone) == repr(bundle)
     with pytest.raises(TypeError):
         hash(bundle)  # ChowPoly roots are unhashable
 
