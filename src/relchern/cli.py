@@ -390,7 +390,3 @@ def main(argv=None):
         return _fail(fmt, exc, 2)
     _emit(sys.stdout, out)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

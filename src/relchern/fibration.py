@@ -184,7 +184,8 @@ def relative_chern_class(hyp, base):
 
 def euler_characteristic(hyp, base, as_integer=None):
     """Top graded piece of the pushed-down Chern class, built alone as
-    ``sum_m Q_m * c_(dim-m)(B)`` over the graded pieces ``Q_m`` of ``Q``.
+    ``sum_m Q_m * c_(dim-m)(B)`` over the graded pieces ``Q_m`` of ``Q``;
+    over a formal base each ``c_k(B)`` is read as the symbol ``c<k>``.
 
     Over projective space the piece is integrated to an ``int`` (pass
     ``as_integer=False`` for the class instead).  Over a formal base the
@@ -197,9 +198,13 @@ def euler_characteristic(hyp, base, as_integer=None):
         raise TypeError(f"as_integer must be None, True or False, not {as_integer!r}")
     if hyp.bundle.ring != base.ring:
         raise ContextError("hypersurface and base use different ring contexts")
-    chern, dim, terms = base.chern_polynomial(), base.dim, {}
+    dim, terms = base.dim, {}
     for m, piece in expand_ratio(*q_rational(hyp))._graded().items():
-        _mul_into(terms, piece._terms, chern.component(dim - m)._degree_table(), dim)
+        if isinstance(base, ProjectiveSpaceBase):
+            chern = base.chern_polynomial().component(dim - m)
+        else:  # c_k(B) is the symbol c<k>: all of c(B) is never built
+            chern = base.chern_symbol(dim - m) if m < dim else base.ring.one
+        _mul_into(terms, piece._terms, chern._degree_table(), dim)
     top = base.ring._finish(terms)
     if isinstance(base, ProjectiveSpaceBase):
         if as_integer is False:

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -522,6 +523,55 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "23328"
+
+
+# how a process reaches the entry: python -m relchern, and the console
+# script, which imports its [project.scripts] target and exits with what it
+# returns. An atexit hook reports the collector's freeze count on stderr.
+_SCRIPT_TARGET = re.search(
+    r'^relchern = "([\w.]+):(\w+)"$',
+    (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).groups()
+_LAUNCHERS = {
+    "module": 'runpy.run_module("relchern", run_name="__main__")',
+    "script": "sys.exit(getattr(importlib.import_module({!r}), {!r})())".format(
+        *_SCRIPT_TARGET),
+}
+_FREEZE_PROBE = """\
+import atexit, gc, importlib, runpy, sys
+atexit.register(lambda: print("freeze count", gc.get_freeze_count(), file=sys.stderr))
+"""
+
+
+@pytest.mark.parametrize("launcher", sorted(_LAUNCHERS))
+@pytest.mark.parametrize("argv, exit_code", [
+    (["qclass", "--config", str(WEIERSTRASS_JOB_FILE)], 0),
+    (["qclass", "--config", str(WEIERSTRASS_JOB_FILE), "--format", "json"], 0),
+    (["qclass", "--config", "{tmp}/missing.json", "--format", "json"], 2),
+    (["euler", "--config", "{tmp}/integrate.json"], 3),
+    (["qclass", "--config", str(WEIERSTRASS_JOB_FILE), "--bogus"], 2),
+], ids=["text", "json", "missing-config", "formal-integrate", "unknown-option"])
+def test_the_process_entry_freezes_the_collector_after_the_job(
+        tmp_path, capsys, launcher, argv, exit_code):
+    # the entry ends the process with the collector frozen, whatever the exit
+    # path (argparse's SystemExit included), and prints what cli.main prints
+    write_config(tmp_path, {**WEIERSTRASS_FORMAL, "integrate": True},
+                 "integrate.json")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    try:
+        expected = run_cli(capsys, argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        expected = exc.code, captured.out, captured.err
+    assert expected[0] == exit_code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE + _LAUNCHERS[launcher], *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+    *err, probe = proc.stderr.splitlines(keepends=True)
+    assert (proc.returncode, proc.stdout, "".join(err)) == expected, proc.stderr
+    assert re.fullmatch(r"freeze count [1-9][0-9]*\n", probe), proc.stderr
 
 
 def test_committed_weierstrass_job_is_the_golden_one():

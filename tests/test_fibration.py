@@ -585,6 +585,16 @@ def test_euler_characteristic_builds_only_the_top_piece():
     assert peak < 4_000_000, peak
 
 
+@pytest.mark.parametrize("fano", [False, True])
+def test_euler_characteristic_reads_each_chern_class_of_a_formal_base_as_its_symbol(fano):
+    # c_k(B) is the symbol c<k>, so the lazy c(B) is never built
+    for dim in (0, 1, 3, 40):
+        base = FormalBase(dim, fano=fano)
+        top = euler_characteristic(weierstrass(base), base)
+        assert base._chern is None, dim
+        assert top == relative_chern_class(weierstrass(base), base).component(dim)
+
+
 def test_euler_specialization_commutes():
     for dim, multiple in ((2, 3), (3, 4), (3, 2), (4, 1)):
         formal = FormalBase(dim)
