@@ -1,11 +1,14 @@
 """Base-variety models.
 
+The formula asks two things of a base: ``chern_class(k)``, its ``c_k(B)``,
+and ``integrate(cls)``, which gives the degree of a top class or refuses.
 A :class:`FormalBase` keeps the Chern classes of the base as free symbols
 ``c1..cm`` alongside named divisor symbols, so one computation answers the
-question for every smooth base of that dimension at once.  A
-:class:`ProjectiveSpaceBase` works in the hyperplane class ``h`` and can
-integrate, turning top classes into integers.  :func:`specialize` maps
-formal answers into projective space and commutes with the whole pipeline.
+question for every smooth base of that dimension at once, and refuses to
+integrate.  A :class:`ProjectiveSpaceBase` works in the hyperplane class
+``h`` and integrates, turning top classes into integers.
+:func:`specialize` maps formal answers into projective space and commutes
+with the whole pipeline.
 """
 
 from __future__ import annotations
@@ -47,9 +50,11 @@ class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
     ``H`` and ``c1..c{dim}``.  With ``fano=True`` the first divisor is the
     anticanonical class: :meth:`bindings` reads it as ``c1``, so a job that
     names it computes in ``c1`` from the start.  A fano base needs at least
-    one divisor.  :meth:`chern_polynomial` is built on first use, as its keys
-    are as wide as the ring and most jobs never read it, and kept in a slot
-    that no comparison, hash, ``repr``, copy or pickle reads.
+    one divisor.  :meth:`chern_class` is the symbol ``c<k>`` and
+    :meth:`integrate` refuses.  :meth:`chern_polynomial` is built on first
+    use, as its keys are as wide as the ring and most jobs never read it,
+    and kept in a slot that no comparison, hash, ``repr``, copy or pickle
+    reads.
     """
 
     __slots__ = ("dim", "divisors", "fano", "ring", "_chern")
@@ -67,9 +72,20 @@ class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
         self._set(dim, divisors, bool(fano), ChowRing(symbols, dim), None)
 
     def chern_symbol(self, i):
+        if not _is_int(i):
+            raise SymbolError(f"a Chern symbol index must be an integer, not {i!r}")
         if not 1 <= i <= self.dim:
             raise SymbolError(f"c{i} does not exist on a dimension-{self.dim} base")
         return self.ring.sym(f"c{i}")
+
+    def chern_class(self, k):
+        """``c_k(B)``: 1 at ``k = 0``, the symbol ``c<k>`` up to ``dim`` and
+        zero above; :meth:`chern_polynomial` is not built."""
+        if not _is_int(k) or k < 0:
+            raise ValueError("a Chern class index must be a nonnegative integer")
+        if k == 0:
+            return self.ring.one
+        return self.chern_symbol(k) if k <= self.dim else self.ring.zero
 
     def chern_polynomial(self):
         if self._chern is None:
@@ -90,6 +106,12 @@ class FormalBase(_Frozen, fields=("dim", "divisors", "fano")):
         """``cls`` with each name of :meth:`bindings` replaced by its class."""
         return cls.rewrite(self.bindings())
 
+    def integrate(self, cls):
+        """Refused with :class:`ModeError`: free Chern symbols cannot be
+        integrated, so a formal base only yields the symbolic class."""
+        raise ModeError("integration needs a projective-space base; "
+                        "a formal base only yields the symbolic class")
+
 
 class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
     """Projective space of dimension ``dim``; classes are polynomials in the
@@ -99,7 +121,8 @@ class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
     ``multiple * h`` so bundle data written in terms of that divisor can be
     interpreted here.  The divisor name is a symbol name other than ``H``.
     ``c(P^dim) = sum_i binom(dim + 1, i) h^i`` is built with the base and
-    kept as by :class:`FormalBase`.
+    kept as by :class:`FormalBase`; :meth:`chern_class` reads its graded
+    pieces, and :meth:`integrate` takes the degree of a top class.
     """
 
     __slots__ = ("dim", "multiple", "divisor", "ring", "_chern")
@@ -121,6 +144,12 @@ class ProjectiveSpaceBase(_Frozen, fields=("dim", "multiple", "divisor")):
 
     def chern_polynomial(self):
         return self._chern
+
+    def chern_class(self, k):
+        """``c_k(P^dim) = binom(dim + 1, k) h^k``, zero above ``dim``."""
+        if not _is_int(k) or k < 0:
+            raise ValueError("a Chern class index must be a nonnegative integer")
+        return self._chern.component(k) if k <= self.dim else self.ring.zero
 
     def bindings(self):
         """``{divisor: multiple*h}`` once a multiple is bound; ``h`` itself
@@ -154,19 +183,19 @@ def specialize(cls, base):
     """Map a formal-base class into projective space.
 
     Chern symbols ``c_i``, the symbols ``c<i>`` of degree ``i``, become the
-    graded pieces of ``c(P^dim)`` (0 for ``i > dim``), the bound divisor
+    target's ``chern_class(i)`` (0 for ``i > dim``), the bound divisor
     becomes its class in :meth:`ProjectiveSpaceBase.bindings` (``h`` is never
     rebound), and the result is truncated at the target dimension.  An unbound
-    divisor, or any other surviving symbol, raises :class:`SpecializationError`.
+    divisor, or any other surviving symbol, raises :class:`SpecializationError`;
+    a target that is not a :class:`ProjectiveSpaceBase` is a :class:`TypeError`.
     """
     if not isinstance(base, ProjectiveSpaceBase):
         raise TypeError("specialize targets a ProjectiveSpaceBase")
     mapping = {"h": base.hyperplane(), **base.bindings()}
-    pieces = base.chern_polynomial()._graded()  # c_i is 0 for i > base.dim
     for name in cls.symbols_used():
         match = _CHERN_RE.match(name)
         if match and cls.ring.degree_of(name) == int(match[1]):
-            mapping[name] = pieces.get(int(match[1]), 0)
+            mapping[name] = base.chern_class(int(match[1]))
         elif name == base.divisor and name not in mapping:
             base.divisor_class()  # unbound, so this raises
         elif name not in mapping:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 
-from .bases import FormalBase, ModeError, ProjectiveSpaceBase, _divisor_symbol
+from .bases import FormalBase, ModeError, _divisor_symbol
 from .pushforward import BundleSpec, ProjClass, normalize_twist, pushforward_series
 from .render import _text_strings, format_terms
 from .ring import (ChowError, ChowPoly, ContextError, _Frozen, _is_int,
@@ -184,13 +184,13 @@ def relative_chern_class(hyp, base):
 
 def euler_characteristic(hyp, base, as_integer=None):
     """Top graded piece of the pushed-down Chern class, built alone as
-    ``sum_m Q_m * c_(dim-m)(B)`` over the graded pieces ``Q_m`` of ``Q``;
-    over a formal base each ``c_k(B)`` is read as the symbol ``c<k>``.
+    ``sum_m Q_m * c_(dim-m)(B)`` over the graded pieces ``Q_m`` of ``Q``,
+    with each ``c_k(B)`` from ``base.chern_class(k)``.
 
-    Over projective space the piece is integrated to an ``int`` (pass
-    ``as_integer=False`` for the class instead).  Over a formal base the
-    symbolic class is returned; requesting ``as_integer=True`` there is a
-    :class:`ModeError`, since free Chern symbols cannot be integrated.
+    The piece goes to ``base.integrate``: over projective space it becomes
+    an ``int`` (pass ``as_integer=False`` for the class instead).  A formal
+    base refuses with :class:`ModeError`, and the symbolic class is
+    returned, unless ``as_integer=True`` asked for the integer.
     ``as_integer`` is ``None``, ``True`` or ``False``; any other value is a
     :class:`TypeError`.
     """
@@ -200,23 +200,19 @@ def euler_characteristic(hyp, base, as_integer=None):
         raise ContextError("hypersurface and base use different ring contexts")
     dim, terms = base.dim, {}
     for m, piece in expand_ratio(*q_rational(hyp))._graded().items():
-        if isinstance(base, ProjectiveSpaceBase):
-            chern = base.chern_polynomial().component(dim - m)
-        else:  # c_k(B) is the symbol c<k>: all of c(B) is never built
-            chern = base.chern_symbol(dim - m) if m < dim else base.ring.one
-        _mul_into(terms, piece._terms, chern._degree_table(), dim)
+        _mul_into(terms, piece._terms, base.chern_class(dim - m)._degree_table(), dim)
     top = base.ring._finish(terms)
-    if isinstance(base, ProjectiveSpaceBase):
-        if as_integer is False:
-            return top
+    if as_integer is False:
+        return top
+    try:
         value = base.integrate(top)
-        if value.denominator != 1:
-            raise ChowError(f"non-integral Euler characteristic {value}")
-        return int(value)
-    if as_integer:
-        raise ModeError("integration needs a projective-space base; "
-                        "a formal base only yields the symbolic class")
-    return top
+    except ModeError:
+        if as_integer:
+            raise
+        return top
+    if value.denominator != 1:
+        raise ChowError(f"non-integral Euler characteristic {value}")
+    return int(value)
 
 
 def svw_components(hyp, base):

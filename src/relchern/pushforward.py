@@ -166,6 +166,8 @@ class ProjClass:
         return cls(bundle, [bundle.ring.zero, bundle.ring.one])
 
     def coeff(self, j):
+        if not _is_int(j):
+            raise TypeError(f"a coefficient index must be an integer, not {j!r}")
         if 0 <= j < len(self.coeffs):
             return self.coeffs[j]
         return self.bundle.ring.zero

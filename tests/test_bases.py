@@ -1,14 +1,18 @@
 """Base-variety models: formal Chern symbols and projective space."""
 
+import ast
 import copy
+import pathlib
 import pickle
 import random
 
 import pytest
 
-from relchern import (FormalBase, GradeError, ProjectiveSpaceBase,
+from relchern import (FormalBase, GradeError, ModeError, ProjectiveSpaceBase,
                       SpecializationError, SymbolError, specialize)
 from tests.randgen import random_poly
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "relchern"
 
 
 def test_projective_chern_polynomials():
@@ -34,6 +38,86 @@ def test_formal_chern_polynomial():
         base.chern_symbol(3)
     with pytest.raises(SymbolError):
         base.chern_symbol(0)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "1", None])
+def test_a_chern_symbol_index_is_an_int(index):
+    with pytest.raises(SymbolError,
+                       match=f"Chern symbol index must be an integer, not {index!r}"):
+        FormalBase(2).chern_symbol(index)
+    # an int out of range keeps its own message
+    with pytest.raises(SymbolError, match="c3 does not exist on a dimension-2 base"):
+        FormalBase(2).chern_symbol(3)
+    with pytest.raises(SymbolError, match="c0 does not exist on a dimension-2 base"):
+        FormalBase(2).chern_symbol(0)
+
+
+INTERFACE_BASES = (
+    [FormalBase(dim, divisors, fano) for dim in range(7)
+     for divisors in (("L",), ("L", "M")) for fano in (False, True)]
+    + [ProjectiveSpaceBase(dim) for dim in range(7)])
+
+
+@pytest.mark.parametrize("base", INTERFACE_BASES, ids=repr)
+def test_chern_class_is_the_graded_piece_of_the_chern_polynomial(base):
+    # read from a copy: FormalBase.chern_class must not build c(B)
+    pieces = [copy.copy(base).chern_polynomial().component(k)
+              for k in range(base.dim + 1)]
+    classes = [base.chern_class(k) for k in range(base.dim + 3)]
+    assert classes[:base.dim + 1] == pieces
+    assert classes[0] == 1
+    assert classes[base.dim + 1:] == [0, 0]
+    assert all(c.ring is base.ring for c in classes)
+    if isinstance(base, FormalBase):
+        assert base._chern is None
+    for index in (-1, True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match="Chern class index"):
+            base.chern_class(index)
+
+
+@pytest.mark.parametrize("dim", range(7))
+def test_a_formal_base_refuses_to_integrate(dim):
+    base = FormalBase(dim)
+    message = ("integration needs a projective-space base; "
+               "a formal base only yields the symbolic class")
+    for cls in (base.ring.one, base.ring.zero, base.ring.sym("L") ** dim):
+        with pytest.raises(ModeError) as info:
+            base.integrate(cls)
+        assert str(info.value) == message
+    assert base._chern is None
+
+
+def _root(node):
+    """The name an attribute chain such as ``a.b().c`` starts from."""
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_fibration_asks_the_base_instead_of_testing_its_class():
+    tree = ast.parse((PACKAGE / "fibration.py").read_text(encoding="utf-8"))
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            names = {kind.id for kind in kinds if isinstance(kind, ast.Name)}
+            if names & {"FormalBase", "ProjectiveSpaceBase"}:
+                hits.append(f"fibration.py:{node.lineno}: {ast.unparse(node)}")
+    assert not hits, "\n".join(hits)
+
+
+def test_specialize_reads_no_private_attribute_of_its_target():
+    tree = ast.parse((PACKAGE / "bases.py").read_text(encoding="utf-8"))
+    function = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "specialize")
+    target = function.args.args[1].arg
+    hits = [f"bases.py:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and _root(node) == target]
+    assert not hits, "\n".join(hits)
 
 
 @pytest.mark.parametrize("base", [FormalBase(4, ("L", "M")),

@@ -636,6 +636,21 @@ def test_proj_class_algebra():
     assert str(H - H) == "0"
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, "1", None])
+def test_proj_class_coeff_takes_only_an_int_index(index):
+    H = ProjClass.hyperplane(weierstrass_bundle())
+    with pytest.raises(TypeError, match="coefficient index must be an integer"):
+        H.coeff(index)
+
+
+def test_proj_class_coeff_is_zero_outside_the_stored_range():
+    bundle = weierstrass_bundle()
+    H = ProjClass.hyperplane(bundle)
+    assert H.coeff(1) == 1 and H.coeff(0) == 0
+    for j in (-1, 2, 6, 10 ** 9):
+        assert H.coeff(j) == 0 and H.coeff(j).ring is bundle.ring
+
+
 def test_proj_class_length_cap():
     bundle = weierstrass_bundle()
     H = ProjClass.hyperplane(bundle)
