@@ -3,7 +3,7 @@
 A fibration is cut out inside the projectivization of a bundle by a divisor
 of class ``d*H + beta``.  Pushing the total Chern class of the fibration
 down to the base factors it as a multiplier class ``Q`` (a function of the
-bundle roots, ``d`` and ``beta`` alone) times the Chern class of the base;
+bundle's rank and ``c(E)``, ``d`` and ``beta`` alone) times ``c(B)``;
 the top graded piece of that product integrates to the Euler characteristic
 of the total space, the Sethi-Vafa-Witten formula.
 
@@ -23,7 +23,10 @@ theorem that sum is minus the residues at infinity and at ``y = -1``, so
     Q = r - 1/d + (1/d) prod ((1 + beta - d - d*M_j) / (1 + beta - d*M_j))^m_j
 
 for ``d >= 1``, and ``Q = r*beta / (1 + beta)`` for ``d = 0``: one exact
-ratio of base classes, whatever the base dimension.
+ratio of base classes, whatever the base dimension.  In Chern classes the
+product's denominator is ``D = sum_k (-d)^k c_k(E) (1 + beta)^(r-k)``,
+evaluated by Horner's rule in ``1 + beta``; its numerator is the same sum
+in ``1 + beta - d``.
 :func:`relative_chern_class` (and with it :func:`svw_components` and
 :func:`euler_characteristic`) expands that ratio.
 
@@ -44,7 +47,7 @@ from .bases import FormalBase, ModeError, _divisor_symbol
 from .pushforward import BundleSpec, ProjClass, normalize_twist, pushforward_series
 from .render import _text_strings, format_terms
 from .ring import (ChowError, ChowPoly, ContextError, _Frozen, _is_int,
-                   _linear_product, _mul_into, _unit_divider, expand_ratio)
+                   _mul_into, _unit_divider, expand_ratio)
 
 
 class UnsupportedDegreeError(ChowError):
@@ -141,29 +144,27 @@ def q_rational(hyp):
     """``Q`` as a ratio ``(N, D)`` of classes of the base ring, from the
     residue theorem (see the module docstring), with no pushforward.
 
-    For ``d >= 1``, ``D = prod (1 + beta - d*M_j)^m_j``,
-    ``S = prod (1 - d + beta - d*M_j)^m_j`` and ``N = r*D + (S - D)/d``, of
-    degree at most ``r``; for ``d = 0``, ``N = r*beta`` and
-    ``D = 1 + beta``.  ``expand_ratio(N, D)`` equals :func:`q_class`.
-
-    Each ``beta - d*M_j`` is zero or of degree 1, so ``S_k = (1 - d)^(r-k) D_k``
-    for each graded piece, and only ``D`` is built, on term maps
-    (:func:`~relchern.ring._linear_product`).  Then
-    ``N_k = (r + ((1 - d)^(r-k) - 1) / d) D_k``, whose weight is an integer
-    as ``(1 - d)^m`` is 1 modulo ``d``: ``N`` is integral when ``D`` is.
+    For ``d >= 1``, ``D = sum_k (-d)^k c_k(E) (1 + beta)^(r-k)``, built from
+    the bundle's ``c(E)`` by Horner's rule in ``1 + beta`` on term maps; the
+    same sum ``S`` in ``1 - d + beta`` has ``S_k = (1 - d)^(r-k) D_k``, so
+    ``N = r*D + (S - D)/d`` scales ``D_k`` by ``r + ((1 - d)^(r-k) - 1) / d``,
+    an integer as ``(1 - d)^m`` is 1 modulo ``d``.  For ``d = 0``,
+    ``N = r*beta`` and ``D = 1 + beta``.  ``expand_ratio(N, D)`` equals
+    :func:`q_class`.
     """
     ring, beta, d = hyp.bundle.ring, hyp.beta, hyp.degree
     rank = hyp.bundle.rank
     if d == 0:
         return rank * beta, ring.one + beta
-    factors = []  # the term map of beta - d*M_j, and m_j
-    for form, mult in hyp.bundle.roots:
-        linear = dict(beta._terms)
-        for key, c in form._terms.items():
-            linear[key] = linear.get(key, 0) - d * c
-        factors.append(({key: c for key, c in linear.items() if c}, mult))
-    den = ring._finish(_linear_product(ring, factors))
-    weights = [rank + ((1 - d) ** (rank - k) - 1) // d for k in range(rank + 1)]
+    scaled = {k: {key: (-d) ** k * c for key, c in piece._terms.items()}
+              for k, piece in hyp.bundle.total_chern()._graded().items()}
+    step, den = (ring.one + beta)._degree_table(), scaled[0]
+    for k in range(1, rank + 1):  # D <- D*(1 + beta) + (-d)^k c_k(E)
+        den, last = scaled.get(k, {}), den
+        _mul_into(den, last, step, ring.bound)
+    den = ring._finish(den)
+    weights = [rank + ((1 - d) ** (rank - k) - 1) // d
+               for k in range(min(rank, ring.bound) + 1)]
     return den._graded_scale(weights), den
 
 
@@ -234,7 +235,8 @@ def smooth_hypersurface_euler(n, d):
     if not _is_int(n) or n < 0:
         raise ValueError("ambient projective dimension must be a nonnegative integer")
     _check_degree(d)
-    return -sum(math.comb(n + 1, k) * (-d) ** (n - k) for k in range(n))
+    # -sum_(k<n) binom(n+1, k) (-d)^(n-k); (1 - d)^(n+1) is 1 modulo d
+    return n + 1 + ((1 - d) ** (n + 1) - 1) // d if d else 0
 
 
 class StratumData(_Frozen):

@@ -74,11 +74,12 @@ class BundleSpec(_Frozen, fields=("roots",)):
     repeated forms into a single entry with summed multiplicity, keyed by
     their term maps, so no two classes are compared; it orders roots
     canonically (zero first).  A root list without a zero entry is rejected;
-    apply :func:`normalize_twist` first.  The private slot ``_chern`` holds
-    :meth:`total_chern` from the start; equality, ``repr``, copies ignore it.
+    apply :func:`normalize_twist` first.  ``rank`` and the private
+    ``_chern`` (:meth:`total_chern`) are slots set with the roots; equality,
+    ``repr`` and copies ignore them.
     """
 
-    __slots__ = ("roots", "ring", "_chern")
+    __slots__ = ("roots", "ring", "rank", "_chern")
 
     def __init__(self, roots):
         self._merge(*_root_entries(roots))
@@ -95,15 +96,12 @@ class BundleSpec(_Frozen, fields=("roots",)):
         if zero is None:
             raise BundleError("no zero Chern root; normalize_twist twists the "
                               "first root to zero and builds the bundle")
+        rank = sum(m for _, m in entries)
+        if rank < 2:
+            raise BundleError("bundle rank must be at least 2")
         nonzero = sorted(merged.values(), key=lambda e: str(e[0]))
         chern = _linear_product(ring, [(form._terms, mult) for form, mult in nonzero])
-        self._set((zero, *nonzero), ring, ring._finish(chern))
-        if self.rank < 2:
-            raise BundleError("bundle rank must be at least 2")
-
-    @property
-    def rank(self):
-        return sum(m for _, m in self.roots)
+        self._set((zero, *nonzero), ring, rank, ring._finish(chern))
 
     @property
     def fiber_dim(self):

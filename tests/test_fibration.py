@@ -1,7 +1,10 @@
 """Hypersurface fibrations: Q classes, Euler characteristics, strata."""
 
+import ast
 import copy
 import itertools
+import math
+import pathlib
 import pickle
 import random
 import tracemalloc
@@ -170,13 +173,13 @@ def test_the_q_routes_run_no_generic_projclass_product(monkeypatch):
 def test_alpha_class_and_q_rational_run_one_product_pass(monkeypatch):
     # alpha is C - C/(1 + y) from the cached c(E): one unit division and no
     # ProjClass product by y, nor a ProjClass quotient; q_rational builds D
-    # alone and scales its graded pieces into N: one product pass, none per root
+    # from c(E) alone and scales its graded pieces into N, with no unit
+    # division and no ProjClass arithmetic
     base = FormalBase(4, ("L", "M"))
     L, M = base.ring.sym("L"), base.ring.sym("M")
     hyp = HypersurfaceSpec.from_roots(3, 2 * L + M,
                                       [L, (M, 2), L + M, (3 * L, 3)])
-    calls = {"__mul__": 0, "__truediv__": 0, "_unit_divider": 0,
-             "divide": 0, "_linear_product": 0}
+    calls = {"__mul__": 0, "__truediv__": 0, "_unit_divider": 0, "divide": 0}
 
     def counting(name, inner):
         def wrapper(*args):
@@ -188,15 +191,53 @@ def test_alpha_class_and_q_rational_run_one_product_pass(monkeypatch):
     for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(ProjClass, name, counting(
             name.replace("__r", "__"), getattr(ProjClass, name)))
-    for name in ("_unit_divider", "_linear_product"):
-        monkeypatch.setattr(fibration, name,
-                            counting(name, getattr(fibration, name)))
+    monkeypatch.setattr(fibration, "_unit_divider",
+                        counting("_unit_divider", fibration._unit_divider))
     alpha_class(hyp)
     assert calls == {"__mul__": 0, "__truediv__": 0, "_unit_divider": 1,
-                     "divide": 1, "_linear_product": 0}
+                     "divide": 1}
     q_rational(hyp)
     assert calls == {"__mul__": 0, "__truediv__": 0, "_unit_divider": 1,
-                     "divide": 1, "_linear_product": 1}
+                     "divide": 1}
+
+
+def test_every_route_but_the_closed_form_reads_no_root(monkeypatch):
+    # a bundle is (rank, c(E)) to every route in fibration.py: with the
+    # root list unreadable, each gives the value it gave before
+    base = FormalBase(4, ("L", "M"))
+    L, M = base.ring.sym("L"), base.ring.sym("M")
+    bundle = HypersurfaceSpec.from_roots(
+        3, 2 * L + M, [L, (M, 2), L + M, (3 * L, 3)]).bundle
+    p3_spec, p3 = weierstrass_over_projective(3, 4)
+    specs = [HypersurfaceSpec(d, 2 * L + M, bundle) for d in (0, 1, 3)]
+    routes = [alpha_class, q_class, q_class_display, q_rational,
+              lambda hyp: relative_chern_class(hyp, base),
+              lambda hyp: euler_characteristic(hyp, base),
+              lambda hyp: svw_components(hyp, base)]
+    expected = [[route(hyp) for route in routes] for hyp in specs]
+    p3_euler = euler_characteristic(p3_spec, p3)
+
+    def unreadable(self):
+        raise AssertionError("a route read the bundle's roots")
+
+    monkeypatch.setattr(BundleSpec, "roots", property(unreadable))
+    for hyp, values in zip(specs, expected):
+        # a new spec over the same bundle: alpha_class is built again
+        hyp = HypersurfaceSpec(hyp.degree, hyp.beta, bundle)
+        assert [route(hyp) for route in routes] == values
+    fresh = HypersurfaceSpec(p3_spec.degree, p3_spec.beta, p3_spec.bundle)
+    assert euler_characteristic(fresh, p3) == p3_euler == 23328
+    with pytest.raises(AssertionError, match="roots"):
+        pushforward_closed_form(alpha_class(fresh))
+
+
+def test_fibration_reads_no_root_list():
+    tree = ast.parse(pathlib.Path(fibration.__file__).read_text(encoding="utf-8"))
+    hits = [f"fibration.py:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "roots"]
+    assert not hits, "\n".join(hits)
+    assert not hasattr(fibration, "_linear_product")
 
 
 # -- alpha ------------------------------------------------------------------
@@ -411,6 +452,19 @@ def test_smooth_hypersurface_euler_table():
             smooth_hypersurface_euler(n, d)
 
 
+def test_smooth_hypersurface_euler_equals_the_binomial_sum():
+    # the closed form against the sum it replaces: c(X) = (1 + h)^(n+1) /
+    # (1 + d*h) on X of degree d, whose top piece integrates to d times the
+    # h^(n-1) coefficient
+    for n in range(61):
+        for d in range(13):
+            summed = -sum(math.comb(n + 1, k) * (-d) ** (n - k) for k in range(n))
+            assert smooth_hypersurface_euler(n, d) == summed, (n, d)
+    assert smooth_hypersurface_euler(2, 3) == 0
+    assert smooth_hypersurface_euler(3, 4) == 24
+    assert smooth_hypersurface_euler(3, 3) == 9
+
+
 # -- relative Chern class ----------------------------------------------------
 
 
@@ -444,11 +498,13 @@ def test_relative_chern_linear_sections_give_projective_subbundle():
         assert smooth_hypersurface_euler(n, 1) == n
 
 
-def test_relative_chern_rejects_foreign_base():
+@pytest.mark.parametrize("route", [relative_chern_class, euler_characteristic,
+                                   svw_components])
+def test_relative_chern_rejects_foreign_base(route):
     base = FormalBase(3)
     other = FormalBase(2)
     with pytest.raises(ContextError):
-        relative_chern_class(weierstrass(base), other)
+        route(weierstrass(base), other)
 
 
 def test_relative_chern_codim0_is_generic_fiber_euler():
